@@ -15,6 +15,14 @@ float). Functions: sqrt (one argument), min and max (two or more).
 There are no conditionals and no loops; every parsed expression either
 evaluates or raises one of the documented errors.
 
+Evaluation compiles the tree into nested closures, one per node, that
+take the variable values as a tuple. ``compile_fn`` parses and compiles
+once and returns a positional callable over the result; ``evaluate`` is
+compile-then-call. Compilation checks nothing about values: mode
+mismatches, division by zero, negative square roots, irrational exact
+powers and unbound variables are still raised when the call meets them,
+and operations run in tree order, so results match a direct tree walk.
+
 ``to_source`` renders an AST back to text that re-parses to an identical
 tree. Literals keep that guarantee whenever their denominator divides a
 power of ten (always true for parsed input); a programmatically built
@@ -26,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import (
     DivisionByZero,
@@ -67,7 +74,7 @@ class Call:
     args: tuple["Expr", ...]
 
 
-Expr = Union[Lit, Var, Neg, Bin, Call]
+Expr = Lit | Var | Neg | Bin | Call
 
 # func name -> (min arity, max arity or None for unbounded)
 _FUNCTIONS = {"sqrt": (1, 1), "min": (2, None), "max": (2, None)}
@@ -260,48 +267,85 @@ def to_source(expr: Expr) -> str:
     return _render(expr, 0)
 
 
+def _compile(expr: Expr, slots: dict, mode: Mode):
+    """Turn an AST into a closure over a tuple of variable values; `slots`
+    maps each bound name to its index in that tuple. Each node becomes one
+    closure that evaluates its children in the tree-walking order, so
+    every run-time error still surfaces at the call that meets it."""
+    if isinstance(expr, Lit):
+        value = Fraction(expr.value) if mode is Mode.EXACT else float(expr.value)
+        return lambda args: value
+    if isinstance(expr, Var):
+        name = expr.name
+        if name not in slots:
+
+            def unbound(args):
+                raise UnknownVariable(name)
+
+            return unbound
+        slot, what = slots[name], f"variable {name}"
+        kind = Fraction if mode is Mode.EXACT else float
+
+        def var(args):
+            value = args[slot]
+            if type(value) is kind:
+                return value
+            return require_mode(value, mode, what)
+
+        return var
+    if isinstance(expr, Neg):
+        operand = _compile(expr.operand, slots, mode)
+        return lambda args: -operand(args)
+    if isinstance(expr, Call):
+        parts = tuple(_compile(a, slots, mode) for a in expr.args)
+        if expr.func == "sqrt":
+
+            def apply(values):
+                return _sqrt_value(values[0], mode)
+
+        elif expr.func in ("min", "max"):
+            apply = min if expr.func == "min" else max
+        else:
+            raise ValueError(f"unknown function {expr.func!r}")
+        return lambda args: apply([part(args) for part in parts])
+    left = _compile(expr.left, slots, mode)
+    right = _compile(expr.right, slots, mode)
+    if expr.op == "+":
+        return lambda args: left(args) + right(args)
+    if expr.op == "-":
+        return lambda args: left(args) - right(args)
+    if expr.op == "*":
+        return lambda args: left(args) * right(args)
+    if expr.op == "/":
+
+        def divide(args):
+            numerator, denominator = left(args), right(args)
+            if denominator == 0:
+                raise DivisionByZero("division by zero")
+            return numerator / denominator
+
+        return divide
+    if expr.op == "^":
+
+        def power(args):
+            base, exponent = left(args), right(args)
+            try:
+                return scalar_pow(base, exponent, mode)
+            except DivisionByZero:
+                raise
+            except ZeroDivisionError:
+                raise DivisionByZero("zero raised to a negative power") from None
+
+        return power
+    raise ValueError(f"unknown operator {expr.op!r}")
+
+
 def evaluate(expr: Expr, env: dict, mode: Mode = Mode.EXACT) -> Scalar:
     """Evaluate with every free variable bound in env, entirely within the
-    given mode. Deterministic and side-effect free."""
-    if isinstance(expr, Lit):
-        return Fraction(expr.value) if mode is Mode.EXACT else float(expr.value)
-    if isinstance(expr, Var):
-        try:
-            value = env[expr.name]
-        except KeyError:
-            raise UnknownVariable(expr.name) from None
-        return require_mode(value, mode, f"variable {expr.name}")
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env, mode)
-    if isinstance(expr, Call):
-        args = [evaluate(a, env, mode) for a in expr.args]
-        if expr.func == "sqrt":
-            return _sqrt_value(args[0], mode)
-        if expr.func == "min":
-            return min(args)
-        if expr.func == "max":
-            return max(args)
-        raise ValueError(f"unknown function {expr.func!r}")
-    left = evaluate(expr.left, env, mode)
-    right = evaluate(expr.right, env, mode)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    if expr.op == "/":
-        if right == 0:
-            raise DivisionByZero("division by zero")
-        return left / right
-    if expr.op == "^":
-        try:
-            return scalar_pow(left, right, mode)
-        except DivisionByZero:
-            raise
-        except ZeroDivisionError:
-            raise DivisionByZero("zero raised to a negative power") from None
-    raise ValueError(f"unknown operator {expr.op!r}")
+    given mode. Deterministic and side-effect free. Compiles the tree on
+    every call; use compile_fn to evaluate one expression many times."""
+    slots = {name: k for k, name in enumerate(env)}
+    return _compile(expr, slots, mode)(tuple(env.values()))
 
 
 def _sqrt_value(value: Scalar, mode: Mode) -> Scalar:
@@ -313,14 +357,16 @@ def _sqrt_value(value: Scalar, mode: Mode) -> Scalar:
 
 
 def compile_fn(source: str, variables, mode: Mode = Mode.EXACT):
-    """Parse once and close over the AST: the returned callable binds its
-    positional arguments to `variables` in order."""
-    ast = parse(source, variables)
+    """Parse and compile once into closures: the returned callable binds
+    its positional arguments to `variables` in order and runs the
+    compiled tree, with the same errors `evaluate` raises."""
     names = tuple(variables)
+    body = _compile(parse(source, names), {name: k for k, name in enumerate(names)}, mode)
+    count = len(names)
 
     def fn(*args):
-        if len(args) != len(names):
-            raise TypeError(f"expected {len(names)} arguments, got {len(args)}")
-        return evaluate(ast, dict(zip(names, args)), mode)
+        if len(args) != count:
+            raise TypeError(f"expected {count} arguments, got {len(args)}")
+        return body(args)
 
     return fn

@@ -27,6 +27,11 @@ class Mode(enum.Enum):
 
 def mode_of(value: Scalar) -> Mode:
     """Classify a scalar; plain ints count as exact rationals."""
+    kind = type(value)
+    if kind is Fraction:
+        return Mode.EXACT
+    if kind is float:
+        return Mode.FLOAT
     if isinstance(value, bool) or not isinstance(value, (Rational, float)):
         raise ModeMismatch(f"not a scalar: {value!r}")
     return Mode.FLOAT if isinstance(value, float) else Mode.EXACT

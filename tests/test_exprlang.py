@@ -1,3 +1,7 @@
+import gc
+import importlib
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,6 +26,7 @@ from tsgronwall.exprlang import (
     to_source,
 )
 from tsgronwall.numeric import Mode
+from tree_evaluator import tree_evaluate
 
 
 def test_parse_rational_literal():
@@ -153,3 +158,92 @@ def test_compile_fn_binds_positionally():
     assert fn(Fraction(9), Fraction(2), Fraction(3)) == 6
     with pytest.raises(TypeError):
         fn(Fraction(1))
+
+
+# Variable values for the differential test, one row per environment in
+# EXPR_CORPUS_VARIABLES order (t1, t2, u, q, s); each row runs in both
+# modes, converted to the mode's type and also left mismatched.
+_ROWS = [
+    ("3/2", "5", "1/3", "2", "7/4"),
+    ("0", "0", "0", "0", "0"),
+    ("-2", "-1/3", "-4", "-1", "-5/2"),
+    ("-1", "1", "0", "1", "-1"),
+    ("9/4", "4", "1/9", "3", "0"),
+    ("1", "-1", "2", "1/2", "3"),
+]
+
+
+def _environments(mode):
+    names = EXPR_CORPUS_VARIABLES
+    for row in _ROWS:
+        exact = [Fraction(v) for v in row]
+        if mode is Mode.EXACT:
+            yield dict(zip(names, exact))
+            # ints are exact too; a float or a bool is a mode mismatch
+            yield dict(zip(names, [int(v) if v.denominator == 1 else v for v in exact]))
+            yield dict(zip(names, [float(exact[0])] + exact[1:]))
+            yield dict(zip(names, exact[:2] + [True] + exact[3:]))
+        else:
+            floats = [float(v) for v in exact]
+            yield dict(zip(names, floats))
+            yield dict(zip(names, floats[:1] + [exact[1]] + floats[2:]))
+            yield dict(zip(names, floats[:2] + [1] + floats[3:]))
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except Exception as exc:  # every failure is compared, type and message
+        return "error", (type(exc), str(exc))
+
+
+def _assert_same(got, want, mode, context):
+    assert got[0] == want[0], context
+    if want[0] == "error":
+        assert got[1] == want[1], context
+        return
+    assert type(got[1]) is type(want[1]), context
+    if mode is Mode.EXACT:
+        assert got[1] == want[1], context
+    else:
+        assert repr(got[1]) == repr(want[1]), context
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_compiled_expressions_match_the_tree_walk(mode):
+    names = EXPR_CORPUS_VARIABLES
+    checked = errors = 0
+    for source in EXPR_CORPUS:
+        tree = parse(source, names)
+        fn = compile_fn(source, names, mode)
+        for env in _environments(mode):
+            want = _outcome(lambda: tree_evaluate(tree, env, mode))
+            context = (source, mode, env)
+            _assert_same(_outcome(lambda: fn(*env.values())), want, mode, context)
+            _assert_same(_outcome(lambda: evaluate(tree, env, mode)), want, mode, context)
+            checked += 1
+            errors += want[0] == "error"
+        # an unbound variable is found when evaluation reaches it
+        partial = {"t2": Fraction(0) if mode is Mode.EXACT else 0.0}
+        want = _outcome(lambda: tree_evaluate(tree, partial, mode))
+        _assert_same(_outcome(lambda: evaluate(tree, partial, mode)), want, mode, source)
+    assert errors and checked - errors  # the environments reach both outcomes
+
+
+def test_reimporting_the_package_frees_earlier_copies():
+    def own(name):
+        return name == "tsgronwall" or name.startswith("tsgronwall.")
+
+    saved = {name: module for name, module in sys.modules.items() if own(name)}
+    copies = []
+    try:
+        for _ in range(3):
+            for name in [name for name in sys.modules if own(name)]:
+                del sys.modules[name]
+            copies.append(weakref.ref(importlib.import_module("tsgronwall.exprlang").Lit))
+    finally:
+        for name in [name for name in sys.modules if own(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert [copy() for copy in copies] == [None, None, None]
