@@ -22,10 +22,18 @@ x -> x**p is increasing on the nonnegative axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import GridMismatch, KernelDomain, ModeRequired, NonPositiveA, WrongScaleKind
+from .errors import (
+    GridMismatch,
+    KernelDomain,
+    ModeRequired,
+    NonPositiveA,
+    TsgronwallError,
+    WrongScaleKind,
+)
 from .grid2 import GridFunction2
 from .numeric import Mode, Scalar, one, require_mode, scalar_pow, to_mode, zero
 from .timescale import SEQUENCE, TimeScale, exp_prefix_from_increments
@@ -33,18 +41,26 @@ from .timescale import SEQUENCE, TimeScale, exp_prefix_from_increments
 THEOREMS = ("thm1-in2", "thm1-in6", "best-linear", "thm2", "thm3", "thm4", "cor31")
 
 Kernel4 = Callable[[Scalar, Scalar, Scalar, Scalar], Scalar]
+Factor2 = Callable[[Scalar, Scalar], Scalar]
 
 
 @dataclass(frozen=True)
 class BoundScenario:
     """Shared bound inputs: offset grid a, weight grid f, an optional
-    kernel g(t1, t2, s1, s2), and the power pair p >= q > 0."""
+    kernel g(t1, t2, s1, s2), and the power pair p >= q > 0.
+
+    ``kernel_terms`` is derived, never configured: the kernel's split
+    g = sum_k phi_k(t1, t2) * psi_k(s1, s2) as (phi_k, psi_k) pairs, or
+    None. It must agree with ``kernel``; config.load_scenario fills it in
+    for separable kernel expressions, and the kernel bounds and oracle
+    then take a prefix-sum path (see _kernel_bound_values)."""
 
     a: GridFunction2
     f: GridFunction2
     kernel: Optional[Kernel4] = None
     p: Scalar = 1
     q: Scalar = 1
+    kernel_terms: Optional[tuple[tuple[Factor2, Factor2], ...]] = None
 
     def __post_init__(self):
         if self.a.ts1 != self.f.ts1 or self.a.ts2 != self.f.ts2:
@@ -247,41 +263,164 @@ def best_linear_bound(sc: BoundScenario) -> BoundReport:
     )
 
 
+def kernel_factor_values(sc: BoundScenario, targets, sources):
+    """Values of the separable kernel's factors: a dict from each target
+    index pair (i, j) to the tuple of phi_k(t1_i, t2_j), and from each
+    source pair to the tuple of psi_k. None when a value is negative or
+    not finite; then the sum of products gives no sign for the kernel
+    flag and loses digits to cancellation in float mode, so callers take
+    the direct path. Factor errors propagate."""
+    pts1, pts2 = sc.ts1.points, sc.ts2.points
+    found = []
+    for pairs, side in ((targets, 0), (sources, 1)):
+        fns = [term[side] for term in sc.kernel_terms]
+        values = {}
+        for i, j in pairs:
+            vals = tuple(fn(pts1[i], pts2[j]) for fn in fns)
+            for v in vals:
+                if not 0 <= v < math.inf:
+                    return None
+            values[i, j] = vals
+        found.append(values)
+    return found
+
+
+def _direct_generator(sc: BoundScenario, weights, expo, hyp):
+    """generator(i*, j*, f*) for any kernel, by the double sum at each
+    target: O(n1^2 * n2^2) kernel calls over the grid. Clears the
+    kernel_nonnegative flag in `hyp` at the first negative value read."""
+    pts1, pts2 = sc.ts1.points, sc.ts2.points
+    a = sc.a.values
+    zero_value = zero(sc.mode)
+
+    def generator(i_star, j_star, f_star):
+        t1s, t2s = pts1[i_star], pts2[j_star]
+        gen = []
+        for i in range(i_star):
+            s = zero_value
+            for jj in range(j_star):
+                g_val = kernel_value(sc, t1s, t2s, pts1[i], pts2[jj])
+                if g_val < 0:
+                    hyp["kernel_nonnegative"] = False
+                if expo:
+                    g_val = _weighted_a_power(sc, g_val, a[i][jj], expo)
+                s += weights[jj] * g_val
+            gen.append(f_star * s)
+        return gen
+
+    return generator
+
+
+def _separable_generator(sc: BoundScenario, weights, expo, skip_zero_f):
+    """generator(i*, j*, f*) from the kernel's separable split
+    g = sum_k phi_k * psi_k, or None when the factors do not qualify (see
+    kernel_factor_values). Entry i is sum_k f(t*) phi_k(t*) R_k[i][j*],
+    where R_k holds per-row prefix sums of weight * a**expo * psi_k:
+    O(n1 * n2 * r) factor calls and O(n1^2 * n2 * r) arithmetic over the
+    grid. Every factor is nonnegative, so the kernel flag stays true.
+
+    Factors are read at exactly the points the direct loop visits, the
+    sources forming a staircase under the targets, so they raise only
+    where the direct loop would. A negative power of a zero offset raises
+    here at every visited source, while the direct loop takes it only
+    where the kernel is nonzero; the caller falls back on any error, so
+    both cases end on the direct loop."""
+    n1, n2 = sc.a.shape
+    a, f = sc.a.values, sc.f.values
+    targets = [
+        (i, j) for i in range(1, n1) for j in range(1, n2)
+        if not (skip_zero_f and f[i][j] == 0)
+    ]
+    reach = [0] * n1  # row i's sources that some target reads: jj < reach[i]
+    for i_star, j_star in targets:
+        reach[i_star - 1] = max(reach[i_star - 1], j_star)
+    for i in range(n1 - 2, -1, -1):
+        reach[i] = max(reach[i], reach[i + 1])
+    sources = [(i, jj) for i in range(n1) for jj in range(reach[i])]
+    factors = kernel_factor_values(sc, targets, sources)
+    if factors is None:
+        return None
+    phi_at, psi_at = factors
+    zero_value = zero(sc.mode)
+    prefix = []
+    for i in range(n1):
+        acc = [zero_value] * len(sc.kernel_terms)
+        row = [tuple(acc)]
+        for jj in range(reach[i]):
+            w = weights[jj] * scalar_pow(a[i][jj], expo, sc.mode) if expo else weights[jj]
+            for k, v in enumerate(psi_at[i, jj]):
+                acc[k] += w * v
+            row.append(tuple(acc))
+        prefix.append(row)
+
+    def generator(i_star, j_star, f_star):
+        phis = phi_at.get((i_star, j_star))
+        if phis is None:
+            return [f_star * zero_value] * i_star
+        coefficients = [f_star * phi for phi in phis]
+        return [
+            sum((c * r for c, r in zip(coefficients, prefix[i][j_star])), zero_value)
+            for i in range(i_star)
+        ]
+
+    return generator
+
+
+def _kernel_bound_values(sc: BoundScenario, hyp, weights, expo, product, outer, skip_zero_f):
+    """The loop behind thm2, thm4 and cor31, returning the bound rows.
+
+    At each target (t1*, t2*) the kernel's leading arguments are frozen.
+    The generator along the first axis holds, for every row i below the
+    target, f(t*) times the weighted sum over the sources jj < j* of
+    g(t*; s) * a(s)**expo (expo falsy: no offset weight). `product(i*,
+    gen)` is the exponential and `outer(a(t*), e)` the bound.
+    With `skip_zero_f` the targets where f(t*) = 0 get a zero generator
+    and their kernel values are never read, so they cannot clear the
+    kernel_nonnegative flag this sets in `hyp`.
+
+    A scenario with kernel_terms takes the separable prefix-sum path when
+    its factors qualify, and otherwise the direct double sum; both give
+    the same values (exactly, in exact mode), flags and errors.
+    """
+    n1, n2 = sc.a.shape
+    a, f = sc.a.values, sc.f.values
+    hyp["kernel_nonnegative"] = True
+    generator = None
+    if sc.kernel_terms is not None:
+        try:
+            generator = _separable_generator(sc, weights, expo, skip_zero_f)
+        except (TsgronwallError, ArithmeticError):
+            pass  # the direct loop raises it again, at its own place
+    if generator is None:
+        generator = _direct_generator(sc, weights, expo, hyp)
+    zero_value = zero(sc.mode)
+    out = [[None] * n2 for _ in range(n1)]
+    for i_star in range(n1):
+        for j_star in range(n2):
+            f_star = f[i_star][j_star]
+            if skip_zero_f and f_star == 0:
+                gen = [zero_value] * i_star
+            else:
+                gen = generator(i_star, j_star, f_star)
+            out[i_star][j_star] = outer(a[i_star][j_star], product(i_star, gen))
+    return tuple(tuple(r) for r in out)
+
+
 def thm2_bound(sc: BoundScenario) -> BoundReport:
-    """Kernel bound. For each target point the kernel's leading arguments
-    are pinned there, so no inner sums can be shared between targets and
-    the grid costs O(n1^2 * n2^2) kernel evaluations in total; correctness
-    over speed, the windows are desk-scale."""
+    """Kernel bound: a(t*) times the exponential along the first axis of
+    f(t*) times the double kernel integral up to the target, with the
+    kernel frozen at each target (see _kernel_bound_values). Every
+    target's kernel values are read, even where f(t*) = 0."""
     if sc.kernel is None:
         raise ValueError("thm2 needs a kernel")
     hyp = _hypotheses(sc, f_monotone=True)
-    n1, n2 = sc.a.shape
-    pts1, pts2 = sc.ts1.points, sc.ts2.points
-    mu2 = sc.ts2.graininesses()
-    a, f = sc.a.values, sc.f.values
-    kernel_nonneg = True
-    out = [[None] * n2 for _ in range(n1)]
-    for i_star in range(n1):
-        t1s = pts1[i_star]
-        for j_star in range(n2):
-            t2s = pts2[j_star]
-            f_star = f[i_star][j_star]
-            gen = []
-            for i in range(i_star):
-                s = zero(sc.mode)
-                for jj in range(j_star):
-                    g_val = kernel_value(sc, t1s, t2s, pts1[i], pts2[jj])
-                    if g_val < 0:
-                        kernel_nonneg = False
-                    s += mu2[jj] * g_val
-                gen.append(f_star * s)
-            e = sc.ts1.exp_prefix(gen)[-1]
-            out[i_star][j_star] = a[i_star][j_star] * e
-    hyp["kernel_nonnegative"] = kernel_nonneg
-    return BoundReport(
-        "thm2", sc.mode, sc.ts1, sc.ts2,
-        tuple(tuple(r) for r in out), hyp, sc.approximate,
+    values = _kernel_bound_values(
+        sc, hyp, sc.ts2.graininesses(), 0,
+        lambda i_star, gen: sc.ts1.exp_prefix(gen)[-1],
+        lambda a_value, e: a_value * e,
+        skip_zero_f=False,
     )
+    return BoundReport("thm2", sc.mode, sc.ts1, sc.ts2, values, hyp, sc.approximate)
 
 
 def thm3_bound(sc: BoundScenario) -> BoundReport:
@@ -313,45 +452,32 @@ def thm3_bound(sc: BoundScenario) -> BoundReport:
     )
 
 
-def thm4_bound(sc: BoundScenario) -> BoundReport:
-    """Kernel and power combined: the per-target kernel integral weighted
-    by a**(q/p - 1) along the way, everything raised to 1/p."""
+def _power_kernel_bound(sc: BoundScenario, theorem, weights, product) -> BoundReport:
+    """thm4 and cor31: the kernel integral weighted by a**(q/p - 1),
+    everything raised to 1/p, targets with f(t*) = 0 skipped."""
     if sc.kernel is None:
-        raise ValueError("thm4 needs a kernel")
+        raise ValueError(f"{theorem} needs a kernel")
     expo = _check_exact_exponent(sc)
     _require_a_not_negative(sc)
     hyp = _hypotheses(sc, f_monotone=True, a_positive=True)
-    n1, n2 = sc.a.shape
-    pts1, pts2 = sc.ts1.points, sc.ts2.points
-    mu2 = sc.ts2.graininesses()
-    a, f = sc.a.values, sc.f.values
-    kernel_nonneg = True
-    out = [[None] * n2 for _ in range(n1)]
-    for i_star in range(n1):
-        t1s = pts1[i_star]
-        for j_star in range(n2):
-            t2s = pts2[j_star]
-            f_star = f[i_star][j_star]
-            gen = []
-            if f_star == 0:
-                gen = [zero(sc.mode)] * i_star
-            else:
-                for i in range(i_star):
-                    s = zero(sc.mode)
-                    for jj in range(j_star):
-                        g_val = kernel_value(sc, t1s, t2s, pts1[i], pts2[jj])
-                        if g_val < 0:
-                            kernel_nonneg = False
-                        s += mu2[jj] * _weighted_a_power(sc, g_val, a[i][jj], expo)
-                    gen.append(f_star * s)
-            e = sc.ts1.exp_prefix(gen)[-1]
-            out[i_star][j_star] = _outer_value(sc, a[i_star][j_star], e)
-    hyp["kernel_nonnegative"] = kernel_nonneg
+    values = _kernel_bound_values(
+        sc, hyp, weights, expo, product,
+        lambda a_value, e: _outer_value(sc, a_value, e),
+        skip_zero_f=True,
+    )
     powered = sc.mode is Mode.EXACT and sc.p != 1
     return BoundReport(
-        "thm4", sc.mode, sc.ts1, sc.ts2,
-        tuple(tuple(r) for r in out), hyp, sc.approximate,
+        theorem, sc.mode, sc.ts1, sc.ts2, values, hyp, sc.approximate,
         powered=powered, power=sc.p,
+    )
+
+
+def thm4_bound(sc: BoundScenario) -> BoundReport:
+    """Kernel and power combined: the per-target kernel integral weighted
+    by a**(q/p - 1) along the way, everything raised to 1/p."""
+    return _power_kernel_bound(
+        sc, "thm4", sc.ts2.graininesses(),
+        lambda i_star, gen: sc.ts1.exp_prefix(gen)[-1],
     )
 
 
@@ -361,43 +487,10 @@ def cor31_bound(sc: BoundScenario) -> BoundReport:
     increment product. Must agree with thm4_bound exactly in exact mode."""
     if sc.ts1.kind != SEQUENCE or sc.ts2.kind != SEQUENCE:
         raise WrongScaleKind("cor31 needs sequence scales on both axes")
-    if sc.kernel is None:
-        raise ValueError("cor31 needs a kernel")
-    expo = _check_exact_exponent(sc)
-    _require_a_not_negative(sc)
-    hyp = _hypotheses(sc, f_monotone=True, a_positive=True)
-    n1, n2 = sc.a.shape
-    pts1, pts2 = sc.ts1.points, sc.ts2.points
     alphas = sc.ts1.increments
-    betas = sc.ts2.increments
-    a, f = sc.a.values, sc.f.values
-    kernel_nonneg = True
-    out = [[None] * n2 for _ in range(n1)]
-    for i_star in range(n1):
-        t1s = pts1[i_star]
-        for j_star in range(n2):
-            t2s = pts2[j_star]
-            f_star = f[i_star][j_star]
-            gen = []
-            if f_star == 0:
-                gen = [zero(sc.mode)] * i_star
-            else:
-                for i in range(i_star):
-                    s = zero(sc.mode)
-                    for jj in range(j_star):
-                        g_val = kernel_value(sc, t1s, t2s, pts1[i], pts2[jj])
-                        if g_val < 0:
-                            kernel_nonneg = False
-                        s += betas[jj] * _weighted_a_power(sc, g_val, a[i][jj], expo)
-                    gen.append(f_star * s)
-            e = exp_prefix_from_increments(alphas[:i_star], gen, sc.mode)[-1]
-            out[i_star][j_star] = _outer_value(sc, a[i_star][j_star], e)
-    hyp["kernel_nonnegative"] = kernel_nonneg
-    powered = sc.mode is Mode.EXACT and sc.p != 1
-    return BoundReport(
-        "cor31", sc.mode, sc.ts1, sc.ts2,
-        tuple(tuple(r) for r in out), hyp, sc.approximate,
-        powered=powered, power=sc.p,
+    return _power_kernel_bound(
+        sc, "cor31", sc.ts2.increments,
+        lambda i_star, gen: exp_prefix_from_increments(alphas[:i_star], gen, sc.mode)[-1],
     )
 
 

@@ -99,14 +99,17 @@ def cmd_bound(args) -> int:
     if args.format == "csv":
         text = config.report_to_csv(report)
     else:
-        text = json.dumps(config.report_to_json(report, oracle_result), indent=2)
+        text = json.dumps(
+            config.report_to_json(report, oracle_result), indent=2, allow_nan=False
+        )
     _write_output(text, args.out)
     return EXIT_OK if report.certified else EXIT_UNCERTIFIED
 
 
 def cmd_verify(args) -> int:
     summary = run_campaign(args.theorem, args.cases, args.seed, args.max_window)
-    _write_output(json.dumps(config.summary_to_json(summary), indent=2), args.out)
+    text = json.dumps(config.summary_to_json(summary), indent=2, allow_nan=False)
+    _write_output(text, args.out)
     return EXIT_OK if summary.failures == 0 else EXIT_ERROR
 
 
@@ -151,6 +154,7 @@ def cmd_ibvp(args) -> int:
                 "margins": config.matrix_to_json(margins),
             },
             indent=2,
+            allow_nan=False,
         )
     _write_output(text, args.out)
     return EXIT_OK if result.dominated else EXIT_ERROR

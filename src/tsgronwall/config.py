@@ -19,8 +19,10 @@ Scale kinds: integers (h, a, b), qscale (q, t0, k_max), sequence
 (t0, alphas) and sample (left, step, count; float mode only). Grids are
 either expression strings in t1, t2 or inline tables; table cells cover
 any subset of the window and unlisted points default to 0. Kernels are
-expressions in t, s, tau, xi. Scalars serialize as "num/den" strings or
-decimal literals.
+expressions in t, s, tau, xi; one that splits into a sum of products
+phi(t, s) * psi(tau, xi) also gets its compiled factors, which the
+kernel bounds and oracle use for a faster path with equal results.
+Scalars serialize as "num/den" strings or decimal literals.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .bounds import THEOREMS, BoundReport, BoundScenario
 from .errors import ConfigError, ExprError, GridMismatch, TsgronwallError
-from .exprlang import compile_fn
+from .exprlang import compile_fn, compile_separable
 from .grid2 import GridFunction2
 from .ibvp import IbvpProblem
 from .numeric import Mode, Scalar, format_scalar, parse_scalar, zero
@@ -162,15 +165,20 @@ def load_scenario(doc, mode_override: Optional[Mode] = None) -> Scenario:
     ts2 = parse_timescale(_require_key(doc, "scale2"), mode)
     a = parse_grid(_require_key(doc, "a"), ts1, ts2, mode)
     f = parse_grid(_require_key(doc, "f"), ts1, ts2, mode)
-    kernel = None
+    kernel = kernel_terms = None
     if "kernel_g" in doc:
         kernel = parse_kernel(doc["kernel_g"], mode)
+        kernel_terms = compile_separable(
+            doc["kernel_g"], _KERNEL_VARIABLES[:2], _KERNEL_VARIABLES[2:], mode
+        )
     elif theorem in _KERNEL_THEOREMS:
         raise ConfigError(f"{theorem} needs a 'kernel_g' expression")
     try:
         p = parse_scalar(doc.get("p", "1"), mode)
         q = parse_scalar(doc.get("q", "1"), mode)
-        bound_scenario = BoundScenario(a=a, f=f, kernel=kernel, p=p, q=q)
+        bound_scenario = BoundScenario(
+            a=a, f=f, kernel=kernel, p=p, q=q, kernel_terms=kernel_terms
+        )
     except (ValueError, GridMismatch) as exc:
         raise ConfigError(str(exc)) from exc
     return Scenario(theorem, mode, bound_scenario, bool(doc.get("oracle", False)))
@@ -200,8 +208,10 @@ def load_ibvp(doc) -> IbvpProblem:
 
 
 def scalar_to_json(value: Scalar):
-    """Exact values go out as "num/den" strings; floats stay JSON numbers."""
-    if isinstance(value, float):
+    """Exact values go out as "num/den" strings; finite floats stay JSON
+    numbers, and inf, -inf and nan, which JSON cannot hold, go out as
+    those strings."""
+    if isinstance(value, float) and math.isfinite(value):
         return value
     return format_scalar(value)
 

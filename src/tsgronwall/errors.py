@@ -86,6 +86,10 @@ class NegativeSqrt(ExprError):
     """A real root of a negative value was requested."""
 
 
+class FloatOverflow(ExprError):
+    """A float power left the float64 range."""
+
+
 class NegativeFactorWarning(UserWarning):
     """A scale-exponential factor went negative: the generator left the
     positively regressive class, so bound certificates do not apply."""

@@ -356,12 +356,8 @@ def _sqrt_value(value: Scalar, mode: Mode) -> Scalar:
     return math.sqrt(value)
 
 
-def compile_fn(source: str, variables, mode: Mode = Mode.EXACT):
-    """Parse and compile once into closures: the returned callable binds
-    its positional arguments to `variables` in order and runs the
-    compiled tree, with the same errors `evaluate` raises."""
-    names = tuple(variables)
-    body = _compile(parse(source, names), {name: k for k, name in enumerate(names)}, mode)
+def _positional(expr: Expr, names: tuple, mode: Mode):
+    body = _compile(expr, {name: k for k, name in enumerate(names)}, mode)
     count = len(names)
 
     def fn(*args):
@@ -370,3 +366,116 @@ def compile_fn(source: str, variables, mode: Mode = Mode.EXACT):
         return body(args)
 
     return fn
+
+
+def compile_fn(source: str, variables, mode: Mode = Mode.EXACT):
+    """Parse and compile once into closures: the returned callable binds
+    its positional arguments to `variables` in order and runs the
+    compiled tree, with the same errors `evaluate` raises."""
+    names = tuple(variables)
+    return _positional(parse(source, names), names, mode)
+
+
+# Expansion cap for `separate`: products of sums multiply their term
+# counts, so without it a short expression could expand exponentially.
+MAX_TERMS = 16
+
+
+def separate(expr: Expr, left, right):
+    """Split expr into a sum of products phi_k * psi_k, where phi_k
+    mentions only names in `left` and psi_k only names in `right`.
+
+    A subtree whose names all sit on one side (constants go left) is one
+    factor, whatever its operators. Above those the walk accepts '+',
+    '-', unary minus, '*' and '/' by a one-sided factor; anything else
+    with both sides under it (sqrt, min, max or '^') is not separable.
+    Returns a tuple of (phi, psi) trees, a missing factor written as the
+    literal 1 and a negative sign as a Neg around phi, or None when expr
+    is not separable or expands to more than MAX_TERMS terms. Every
+    factor keeps its subtrees as parsed, so a factor meets the same
+    run-time errors at the same points as the whole expression.
+    """
+    sides = {**dict.fromkeys(left, 1), **dict.fromkeys(right, 2)}
+    masks = {}
+
+    def mask(node) -> int:
+        """Bit 1: mentions a left name, bit 2: a right name (or a name
+        on neither side, which makes the node unsplittable)."""
+        key = id(node)
+        if key not in masks:
+            if isinstance(node, Lit):
+                masks[key] = 0
+            elif isinstance(node, Var):
+                masks[key] = sides.get(node.name, 3)
+            elif isinstance(node, Neg):
+                masks[key] = mask(node.operand)
+            else:
+                children = node.args if isinstance(node, Call) else (node.left, node.right)
+                masks[key] = 0
+                for child in children:
+                    masks[key] |= mask(child)
+        return masks[key]
+
+    def times(x, y):
+        return y if x is None else x if y is None else Bin("*", x, y)
+
+    def negated(found):
+        return [(not neg, phi, psi) for neg, phi, psi in found]
+
+    def terms(node):
+        """(negated, phi or None, psi or None) triples, or None."""
+        m = mask(node)
+        if m == 2:
+            return [(False, None, node)]
+        if m != 3:
+            return [(False, node, None)]
+        if isinstance(node, Neg):
+            inner = terms(node.operand)
+            return None if inner is None else negated(inner)
+        if not isinstance(node, Bin) or node.op == "^":
+            return None
+        lhs = terms(node.left)
+        if lhs is None:
+            return None
+        if node.op == "/":
+            d = mask(node.right)
+            if d == 3:
+                return None
+            if d == 2:
+                return [(neg, phi, Bin("/", psi or Lit(Fraction(1)), node.right))
+                        for neg, phi, psi in lhs]
+            return [(neg, Bin("/", phi or Lit(Fraction(1)), node.right), psi)
+                    for neg, phi, psi in lhs]
+        rhs = terms(node.right)
+        if rhs is None:
+            return None
+        if node.op == "+":
+            out = lhs + rhs
+        elif node.op == "-":
+            out = lhs + negated(rhs)
+        else:
+            out = [(n1 != n2, times(p1, p2), times(q1, q2))
+                   for n1, p1, q1 in lhs for n2, p2, q2 in rhs]
+        return out if len(out) <= MAX_TERMS else None
+
+    found = terms(expr)
+    if found is None:
+        return None
+    one = Lit(Fraction(1))
+    return tuple(
+        (Neg(phi or one) if neg else phi or one, psi or one) for neg, phi, psi in found
+    )
+
+
+def compile_separable(source: str, left, right, mode: Mode = Mode.EXACT):
+    """Compile the separable split of `source` (see `separate`): a tuple
+    of (phi, psi) callables, phi taking the `left` variables and psi the
+    `right` ones positionally, or None when the expression does not
+    split. Raises what compile_fn raises for bad source."""
+    left, right = tuple(left), tuple(right)
+    split = separate(parse(source, left + right), left, right)
+    if split is None:
+        return None
+    return tuple(
+        (_positional(phi, left, mode), _positional(psi, right, mode)) for phi, psi in split
+    )

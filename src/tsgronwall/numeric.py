@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Union
 
-from .errors import ModeMismatch, ModeRequired, NegativeSqrt
+from .errors import FloatOverflow, ModeMismatch, ModeRequired, NegativeSqrt
 
 Scalar = Union[Fraction, int, float]
 
@@ -85,7 +85,7 @@ def scalar_pow(base: Scalar, exponent: Scalar, mode: Mode) -> Scalar:
 
     Exact mode accepts integer exponents only; anything else has no exact
     rational value in general. Float mode rejects fractional powers of
-    negative bases (no real result).
+    negative bases (no real result) and results past the float64 range.
     """
     if mode is Mode.EXACT:
         exp = Fraction(exponent)
@@ -103,8 +103,10 @@ def scalar_pow(base: Scalar, exponent: Scalar, mode: Mode) -> Scalar:
         raise ZeroDivisionError("0 raised to a negative power")
     try:
         return math.pow(b, e)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise NegativeSqrt(f"{b} ** {e} has no real value") from exc
+    except OverflowError as exc:
+        raise FloatOverflow(f"{b} ** {e} overflows the float64 range") from exc
 
 
 def exact_sqrt(value) -> Fraction:

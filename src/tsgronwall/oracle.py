@@ -14,6 +14,7 @@ nonnegative increments) and count domination failures across seeds.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,7 @@ from .bounds import (
     BoundScenario,
     best_linear_bound,
     cor31_bound,
+    kernel_factor_values,
     kernel_value,
     thm1_bound_in2,
     thm1_bound_in6,
@@ -31,7 +33,7 @@ from .bounds import (
     thm3_bound,
     thm4_bound,
 )
-from .errors import GridMismatch, ModeRequired, NonPositiveA, NotDiscrete
+from .errors import GridMismatch, ModeRequired, NonPositiveA, NotDiscrete, TsgronwallError
 from .grid2 import GridFunction2
 from .numeric import Mode, Scalar, format_scalar, scalar_pow, zero
 from .timescale import TimeScale
@@ -126,9 +128,15 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     of g(t1, t2, ., .) * u**q).
 
     The kernel is pinned at the target indices while the summed values
-    sit strictly below them, so the recursion stays closed; each target
-    pays for its own double sum. Exact mode follows the same p = q
-    powered convention as equality_case_power.
+    sit strictly below them, so the recursion stays closed. Exact mode
+    follows the same p = q powered convention as equality_case_power.
+
+    With a direct kernel each target pays for its own double sum,
+    O(n1^2 * n2^2) kernel calls. A scenario whose kernel_terms qualify
+    (see bounds.kernel_factor_values) instead carries the running sums
+    P_k of mu1 * mu2 * psi_k * u**q through the sweep and reads
+    sum_k phi_k(t) * P_k at each target: O(n1 * n2 * r), the same values
+    (exactly, in exact mode) and errors.
     """
     if sc.kernel is None:
         raise ValueError("kernel recursion needs a kernel")
@@ -141,23 +149,41 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     if exact and sc.p != sc.q:
         raise ModeRequired("exact kernel recursion needs p = q; use float mode")
     n1, n2 = sc.a.shape
+    factors = None
+    if sc.kernel_terms is not None:
+        targets = [(i, j) for i in range(1, n1) for j in range(1, n2)]
+        sources = [(i, j) for i in range(n1 - 1) for j in range(n2 - 1)]
+        try:
+            factors = kernel_factor_values(sc, targets, sources)
+        except (TsgronwallError, ArithmeticError):
+            pass  # the direct sweep raises it again, at its own place
     pts1, pts2 = sc.ts1.points, sc.ts2.points
     mu1 = sc.ts1.graininesses()
     mu2 = sc.ts2.graininesses()
     a, f = sc.a.values, sc.f.values
+    zero_value = zero(sc.mode)
     u = [[None] * n2 for _ in range(n1)]
     u_q = [[None] * n2 for _ in range(n1)]
+    if factors is not None:
+        phi_at, psi_at = factors
+        r = len(sc.kernel_terms)
+        # below[j][k]: sum over ii < i, jj < j of mu1 mu2 psi_k u**q
+        below = [(zero_value,) * r] * n2
     for i in range(n1):
         for j in range(n2):
-            t1, t2 = pts1[i], pts2[j]
-            s = zero(sc.mode)
-            for ii in range(i):
-                for jj in range(j):
-                    s += (
-                        mu1[ii] * mu2[jj]
-                        * kernel_value(sc, t1, t2, pts1[ii], pts2[jj])
-                        * u_q[ii][jj]
-                    )
+            s = zero_value
+            if factors is None:
+                t1, t2 = pts1[i], pts2[j]
+                for ii in range(i):
+                    for jj in range(j):
+                        s += (
+                            mu1[ii] * mu2[jj]
+                            * kernel_value(sc, t1, t2, pts1[ii], pts2[jj])
+                            * u_q[ii][jj]
+                        )
+            elif i and j:
+                for phi, p_k in zip(phi_at[i, j], below[j]):
+                    s += phi * p_k
             rhs = a[i][j] + f[i][j] * s
             if exact:
                 u[i][j] = rhs
@@ -165,6 +191,15 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
             else:
                 u[i][j] = scalar_pow(rhs, 1.0 / sc.p, Mode.FLOAT)
                 u_q[i][j] = scalar_pow(u[i][j], sc.q, Mode.FLOAT)
+        if factors is not None and i + 1 < n1:
+            acc = [zero_value] * r
+            next_below = [below[0]]
+            for jj in range(n2 - 1):
+                w = mu1[i] * mu2[jj] * u_q[i][jj]
+                for k, v in enumerate(psi_at[i, jj]):
+                    acc[k] += w * v
+                next_below.append(tuple(x + y for x, y in zip(below[jj + 1], acc)))
+            below = next_below
     return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
 
 
@@ -173,8 +208,9 @@ def domination_summary(u_values, bound_values, mode: Mode, exclude=frozenset()):
 
     Exact mode compares rationals outright and margins are absolute;
     float mode uses margins relative to max(|bound|, |solution|, 1) at
-    tolerance REL_TOL. Returns (dominated, worst_margin, attained index
-    pairs)."""
+    tolerance REL_TOL. A float margin that is not finite (an overflowed
+    bound or solution) proves nothing: it fails the check and counts as
+    -inf. Returns (dominated, worst_margin, attained index pairs)."""
     worst = None
     attained = []
     dominated = True
@@ -191,6 +227,8 @@ def domination_summary(u_values, bound_values, mode: Mode, exclude=frozenset()):
             else:
                 scale = max(abs(bv), abs(uv), 1.0)
                 margin = (bv - uv) / scale
+                if not math.isfinite(margin):
+                    margin = -math.inf
                 if margin < -REL_TOL:
                     dominated = False
                 if abs(margin) <= REL_TOL:
@@ -353,7 +391,9 @@ class CampaignSummary:
 
     def to_jsonable(self) -> dict:
         worst = self.worst_margin
-        if isinstance(worst, Fraction):
+        if isinstance(worst, Fraction) or (
+            isinstance(worst, float) and not math.isfinite(worst)
+        ):
             worst = format_scalar(worst)
         return {
             "theorem": self.theorem,

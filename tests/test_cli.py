@@ -127,6 +127,25 @@ def test_cmd_bound_reproduces_the_example_factor(tmp_path, capsys):
     assert payload["sharpness"] is None
 
 
+def refuse_non_finite(name):
+    raise ValueError(f"non-finite number {name} in output")
+
+
+def test_cmd_bound_overflow_is_valid_json_and_not_dominated(tmp_path, capsys):
+    # f = 10^300 on 41 x 41 points overflows: bounds go to inf and the
+    # equality case to nan. That proves no domination, and JSON has no
+    # inf or nan, so they are written as strings.
+    window = {"kind": "integers", "a": "0", "b": "40"}
+    doc = {"theorem": "thm1-in2", "mode": "float", "scale1": window, "scale2": window,
+           "a": "1", "f": "10^300", "oracle": True}
+    main(["bound", str(write_config(tmp_path, doc))])
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse_non_finite)
+    assert payload["oracle"]["dominated"] is False
+    assert payload["oracle"]["worst_margin"] == "-inf"
+    assert payload["bounds"][40][40] == "inf"
+    assert "nan" in payload["oracle"]["u_star"][40]
+
+
 def test_cmd_bound_with_oracle_block(tmp_path):
     doc = {**EXAMPLE_CONFIG, "theorem": "best-linear", "oracle": True}
     out = tmp_path / "report.json"

@@ -10,6 +10,7 @@ from conftest import EXPR_CORPUS, EXPR_CORPUS_VARIABLES
 from tsgronwall.errors import (
     DivisionByZero,
     ExprSyntaxError,
+    FloatOverflow,
     ModeRequired,
     NegativeSqrt,
     UnknownVariable,
@@ -117,6 +118,13 @@ def test_eval_sqrt_rules():
     with pytest.raises(NegativeSqrt):
         evaluate(parse("sqrt(0-4)"), {}, Mode.FLOAT)
     assert evaluate(parse("sqrt(2)"), {}, Mode.FLOAT) == pytest.approx(2**0.5)
+
+
+def test_float_power_overflow_has_its_own_error():
+    with pytest.raises(FloatOverflow, match=r"^10\.0 \*\* 400\.0 overflows the float64 range$"):
+        compile_fn("10^400", (), Mode.FLOAT)()
+    with pytest.raises(NegativeSqrt, match=r"^-8\.0 \*\* 0\.5 has no real value$"):
+        compile_fn("(0-8)^0.5", (), Mode.FLOAT)()
 
 
 def test_eval_min_max():

@@ -17,7 +17,9 @@ from tsgronwall.errors import GridMismatch, ModeRequired, NonPositiveA, NotDiscr
 from tsgronwall.grid2 import GridFunction2
 from tsgronwall.numeric import Mode
 from tsgronwall.oracle import (
+    CampaignSummary,
     check_domination,
+    domination_summary,
     equality_case_kernel,
     equality_case_linear,
     equality_case_power,
@@ -165,6 +167,17 @@ def test_check_domination_negative_control():
     result = check_domination(bumped, report)
     assert not result.dominated
     assert result.worst_margin == -1
+
+
+def test_non_finite_float_margins_fail_domination():
+    nan, inf = math.nan, math.inf
+    for u, bound in (([[nan]], [[1.0]]), ([[1.0]], [[inf]]), ([[1.0, 2.0]], [[nan, 3.0]])):
+        dominated, worst, attained = domination_summary(u, bound, Mode.FLOAT)
+        assert dominated is False
+        assert worst == -inf
+        assert attained == []
+    summary = CampaignSummary("thm2", 1, 1, -inf, 0, 0)
+    assert summary.to_jsonable()["worst_margin"] == "-inf"
 
 
 def test_check_domination_rejects_mismatched_grids():
