@@ -12,6 +12,9 @@ thm2 adds a four-argument kernel frozen at each target point, thm3 the
 power pair p >= q > 0, thm4 both, and cor31 is the sequence-scale route
 to thm4 through the literal increment product.
 
+Two loops compute them all: _linear_core runs thm1-in2, thm1-in6 (the
+axes swapped) and thm3; _kernel_bound_values runs thm2, thm4 and cor31.
+
 Exact mode and powers: the generator weight a**(q/p - 1) is exact only
 when the exponent is 0 or -1, anything else raises ModeRequired. When
 p = q > 1 the bound itself, a**(1/p) * e**(1/p), is irrational, so exact
@@ -23,7 +26,7 @@ x -> x**p is increasing on the nonnegative axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import (
@@ -35,7 +38,7 @@ from .errors import (
     WrongScaleKind,
 )
 from .grid2 import GridFunction2
-from .numeric import Mode, Scalar, one, require_mode, scalar_pow, to_mode, zero
+from .numeric import Mode, Scalar, require_mode, scalar_pow, to_mode, zero
 from .timescale import SEQUENCE, TimeScale, exp_prefix_from_increments
 
 THEOREMS = ("thm1-in2", "thm1-in6", "best-linear", "thm2", "thm3", "thm4", "cor31")
@@ -188,49 +191,52 @@ def _outer_value(sc: BoundScenario, a_value, exp_value) -> Scalar:
     return scalar_pow(a_value, inv_p, Mode.FLOAT) * scalar_pow(exp_value, inv_p, Mode.FLOAT)
 
 
+def _linear_core(ts: TimeScale, mu_other, weight, outer):
+    """The loop behind thm1-in2, thm1-in6 and thm3. Index i runs along
+    `ts`, the axis of the exponential, and j along the other axis; column
+    j of the generator integrates weight(i, .) over the other axis up to
+    its point j, reading weight one column at a time and never the last.
+    Returns the columns of outer(i, j, exponential up to point i)."""
+    n = len(ts.points)
+    inner = [zero(ts.mode)] * n
+    columns = []
+    for j in range(len(mu_other) + 1):
+        if j > 0:
+            w = mu_other[j - 1]
+            inner = [inner[i] + w * weight(i, j - 1) for i in range(n)]
+        prefix = ts.exp_prefix(inner[: n - 1])
+        columns.append(tuple(outer(i, j, e) for i, e in enumerate(prefix)))
+    return columns
+
+
 def thm1_bound_in2(sc: BoundScenario) -> BoundReport:
     """Linear bound accumulated along the first axis: a(t1, t2) times the
     product over s1 < t1 of 1 + mu1(s1) * (delta integral of f(s1, .) up
     to t2)."""
     hyp = _hypotheses(sc)
-    n1, n2 = sc.a.shape
-    mu2 = sc.ts2.graininesses()
     a, f = sc.a.values, sc.f.values
-    inner = [zero(sc.mode)] * n1
-    out = [[None] * n2 for _ in range(n1)]
-    for j in range(n2):
-        if j > 0:
-            w = mu2[j - 1]
-            inner = [inner[i] + w * f[i][j - 1] for i in range(n1)]
-        prefix = sc.ts1.exp_prefix(inner[: n1 - 1])
-        for i in range(n1):
-            out[i][j] = a[i][j] * prefix[i]
+    columns = _linear_core(
+        sc.ts1, sc.ts2.graininesses(),
+        lambda i, j: f[i][j],
+        lambda i, j, e: a[i][j] * e,
+    )
     return BoundReport(
-        "thm1-in2", sc.mode, sc.ts1, sc.ts2,
-        tuple(tuple(r) for r in out), hyp, sc.approximate,
+        "thm1-in2", sc.mode, sc.ts1, sc.ts2, tuple(zip(*columns)), hyp, sc.approximate,
     )
 
 
 def thm1_bound_in6(sc: BoundScenario) -> BoundReport:
     """Mirror linear bound accumulated along the second axis, with the
-    inner delta integral of f(., s2) taken up to t1."""
+    inner delta integral of f(., s2) taken up to t1: thm1-in2 with the
+    axes swapped, so the core's columns are this bound's rows."""
     hyp = _hypotheses(sc)
-    n1, n2 = sc.a.shape
-    mu1 = sc.ts1.graininesses()
     a, f = sc.a.values, sc.f.values
-    inner = [zero(sc.mode)] * n2
-    out = [[None] * n2 for _ in range(n1)]
-    for i in range(n1):
-        if i > 0:
-            w = mu1[i - 1]
-            inner = [inner[j] + w * f[i - 1][j] for j in range(n2)]
-        prefix = sc.ts2.exp_prefix(inner[: n2 - 1])
-        for j in range(n2):
-            out[i][j] = a[i][j] * prefix[j]
-    return BoundReport(
-        "thm1-in6", sc.mode, sc.ts1, sc.ts2,
-        tuple(tuple(r) for r in out), hyp, sc.approximate,
+    rows = _linear_core(
+        sc.ts2, sc.ts1.graininesses(),
+        lambda j, i: f[i][j],
+        lambda j, i, e: a[i][j] * e,
     )
+    return BoundReport("thm1-in6", sc.mode, sc.ts1, sc.ts2, tuple(rows), hyp, sc.approximate)
 
 
 def best_linear_bound(sc: BoundScenario) -> BoundReport:
@@ -425,29 +431,19 @@ def thm2_bound(sc: BoundScenario) -> BoundReport:
 
 def thm3_bound(sc: BoundScenario) -> BoundReport:
     """Power bound: offset and exponential both raised to 1/p, with the
-    generator weighting f by a**(q/p - 1)."""
+    generator weighting f by a**(q/p - 1); the thm1-in2 loop otherwise."""
     expo = _check_exact_exponent(sc)
     _require_a_not_negative(sc)
     hyp = _hypotheses(sc, a_positive=True)
-    n1, n2 = sc.a.shape
-    mu2 = sc.ts2.graininesses()
     a, f = sc.a.values, sc.f.values
-    inner = [zero(sc.mode)] * n1
-    out = [[None] * n2 for _ in range(n1)]
-    for j in range(n2):
-        if j > 0:
-            w = mu2[j - 1]
-            inner = [
-                inner[i] + w * _weighted_a_power(sc, f[i][j - 1], a[i][j - 1], expo)
-                for i in range(n1)
-            ]
-        prefix = sc.ts1.exp_prefix(inner[: n1 - 1])
-        for i in range(n1):
-            out[i][j] = _outer_value(sc, a[i][j], prefix[i])
+    columns = _linear_core(
+        sc.ts1, sc.ts2.graininesses(),
+        lambda i, j: _weighted_a_power(sc, f[i][j], a[i][j], expo),
+        lambda i, j, e: _outer_value(sc, a[i][j], e),
+    )
     powered = sc.mode is Mode.EXACT and sc.p != 1
     return BoundReport(
-        "thm3", sc.mode, sc.ts1, sc.ts2,
-        tuple(tuple(r) for r in out), hyp, sc.approximate,
+        "thm3", sc.mode, sc.ts1, sc.ts2, tuple(zip(*columns)), hyp, sc.approximate,
         powered=powered, power=sc.p,
     )
 

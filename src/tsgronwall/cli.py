@@ -4,7 +4,8 @@ Subcommands: bound (scenario config to a report file), verify (seeded
 certification campaigns), ibvp (solve and estimate), example31 (the
 built-in worked example on the integer lattice). Exit codes: 0 on
 success and certified, 2 when a report comes back hypothesis-violated,
-1 on errors or verification failures.
+1 on errors or verification failures, a certified bound that its oracle
+finds not dominating included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import config
 from .bounds import BoundScenario, compute_bound, thm1_bound_in2, thm1_bound_in6
 from .errors import ConfigError, HypothesisViolated, TsgronwallError
 from .grid2 import GridFunction2
-from .ibvp import check_estimate, estimate_in7, solve_ibvp
+from .ibvp import check_estimate, estimate_in7
 from .numeric import Mode, format_scalar
 from .oracle import (
     CAMPAIGN_THEOREMS,
@@ -103,7 +104,11 @@ def cmd_bound(args) -> int:
             config.report_to_json(report, oracle_result), indent=2, allow_nan=False
         )
     _write_output(text, args.out)
-    return EXIT_OK if report.certified else EXIT_UNCERTIFIED
+    if not report.certified:
+        return EXIT_UNCERTIFIED
+    if oracle_result is not None and not oracle_result.dominated:
+        return EXIT_ERROR
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

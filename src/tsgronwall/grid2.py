@@ -1,4 +1,6 @@
-"""Grid functions of two variables on a product of scale windows."""
+"""Grid functions of two variables on a product of scale windows, and
+sweep2, the one 2-D prefix sweep behind the prefix integrals, the
+equality cases and the boundary-problem solver."""
 
 from __future__ import annotations
 
@@ -8,6 +10,34 @@ from typing import Callable
 from .errors import MaximumPoint, ModeMismatch
 from .numeric import Mode, Scalar, require_mode, zero
 from .timescale import TimeScale
+
+
+def sweep2(mu1, mu2, zero_value, term, cell):
+    """Rows of u on a (len(mu1) + 1) x (len(mu2) + 1) grid, from one
+    lexicographic sweep of the double sum s (zero_value on the first row
+    and column, two rows kept):
+
+        s[i][j] = s[i-1][j] + s[i][j-1] - s[i-1][j-1]
+                  + term(i-1, j-1, mu1[i-1] * mu2[j-1], u[i-1][j-1])
+        u[i][j] = cell(i, j, s[i][j])
+
+    term sees each source once, in sweep order, with its cell value."""
+    n1, n2 = len(mu1) + 1, len(mu2) + 1
+    u = []
+    prev = [zero_value] * n2
+    for i in range(n1):
+        cur = [zero_value] * n2
+        row = []
+        for j in range(n2):
+            if i and j:
+                cur[j] = (
+                    prev[j] + cur[j - 1] - prev[j - 1]
+                    + term(i - 1, j - 1, mu1[i - 1] * mu2[j - 1], u[i - 1][j - 1])
+                )
+            row.append(cell(i, j, cur[j]))
+        u.append(row)
+        prev = cur
+    return u
 
 
 @dataclass(frozen=True)
@@ -95,18 +125,11 @@ class GridFunction2:
 
     def prefix_double_integral(self) -> "GridFunction2":
         """Grid of double integrals up to every window point."""
-        n1, n2 = self.shape
-        mu1 = self.ts1.graininesses()
-        mu2 = self.ts2.graininesses()
-        out = [[zero(self.mode)] * n2 for _ in range(n1)]
-        for i in range(1, n1):
-            for j in range(1, n2):
-                out[i][j] = (
-                    out[i - 1][j]
-                    + out[i][j - 1]
-                    - out[i - 1][j - 1]
-                    + mu1[i - 1] * mu2[j - 1] * self.values[i - 1][j - 1]
-                )
+        out = sweep2(
+            self.ts1.graininesses(), self.ts2.graininesses(), zero(self.mode),
+            lambda i, j, w, _u: w * self.values[i][j],
+            lambda _i, _j, s: s,
+        )
         return GridFunction2.from_rows(self.ts1, self.ts2, out)
 
     def partial_delta(self, axis: int, t1, t2) -> Scalar:

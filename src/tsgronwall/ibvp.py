@@ -25,7 +25,7 @@ from .errors import (
     NegativeRadicand,
     NotDiscrete,
 )
-from .grid2 import GridFunction2
+from .grid2 import GridFunction2, sweep2
 from .numeric import Mode, Scalar, require_mode
 from .oracle import OracleResult, domination_summary
 from .timescale import TimeScale
@@ -75,38 +75,24 @@ def _solve_with_trace(prob: IbvpProblem):
     """Sweep the grid once; returns the solution rows and the list of
     (s1, s2, u, F(s1, s2, u)) at every source point the sums consumed."""
     pts1, pts2 = prob.ts1.points, prob.ts2.points
-    n1, n2 = len(pts1), len(pts2)
-    mu1 = prob.ts1.graininesses()
-    mu2 = prob.ts2.graininesses()
     g_vals = [prob.g(t) for t in pts1]
     h_vals = [prob.h(t) for t in pts2]
-    u = [[0.0] * n2 for _ in range(n1)]
-    s = [[0.0] * n2 for _ in range(n1)]
-    f_cache = [[None] * n2 for _ in range(n1)]
     trace = []
-    for i in range(n1):
-        for j in range(n2):
-            if i and j:
-                if f_cache[i - 1][j - 1] is None:
-                    f_val = require_mode(
-                        prob.F(pts1[i - 1], pts2[j - 1], u[i - 1][j - 1]),
-                        Mode.FLOAT,
-                        "F value",
-                    )
-                    f_cache[i - 1][j - 1] = f_val
-                    trace.append((pts1[i - 1], pts2[j - 1], u[i - 1][j - 1], f_val))
-                s[i][j] = (
-                    s[i - 1][j]
-                    + s[i][j - 1]
-                    - s[i - 1][j - 1]
-                    + mu1[i - 1] * mu2[j - 1] * f_cache[i - 1][j - 1]
-                )
-            radicand = g_vals[i] + h_vals[j] + s[i][j]
-            if radicand < 0:
-                raise NegativeRadicand(
-                    f"u**2 went negative at ({pts1[i]}, {pts2[j]}); F must be nonnegative"
-                )
-            u[i][j] = math.sqrt(radicand)
+
+    def term(i, j, w, u_ij):
+        f_val = require_mode(prob.F(pts1[i], pts2[j], u_ij), Mode.FLOAT, "F value")
+        trace.append((pts1[i], pts2[j], u_ij, f_val))
+        return w * f_val
+
+    def cell(i, j, s):
+        radicand = g_vals[i] + h_vals[j] + s
+        if radicand < 0:
+            raise NegativeRadicand(
+                f"u**2 went negative at ({pts1[i]}, {pts2[j]}); F must be nonnegative"
+            )
+        return math.sqrt(radicand)
+
+    u = sweep2(prob.ts1.graininesses(), prob.ts2.graininesses(), 0.0, term, cell)
     return u, trace
 
 

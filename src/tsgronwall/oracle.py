@@ -34,7 +34,7 @@ from .bounds import (
     thm4_bound,
 )
 from .errors import GridMismatch, ModeRequired, NonPositiveA, NotDiscrete, TsgronwallError
-from .grid2 import GridFunction2
+from .grid2 import GridFunction2, sweep2
 from .numeric import Mode, Scalar, format_scalar, scalar_pow, zero
 from .timescale import TimeScale
 
@@ -66,22 +66,12 @@ def equality_case_linear(sc: BoundScenario) -> GridFunction2:
     one lexicographic sweep: the integral reads u only at indices smaller
     in both axes. Exact in exact mode."""
     _require_discrete(sc)
-    n1, n2 = sc.a.shape
-    mu1 = sc.ts1.graininesses()
-    mu2 = sc.ts2.graininesses()
     a, f = sc.a.values, sc.f.values
-    u = [[None] * n2 for _ in range(n1)]
-    s = [[zero(sc.mode)] * n2 for _ in range(n1)]
-    for i in range(n1):
-        for j in range(n2):
-            if i and j:
-                s[i][j] = (
-                    s[i - 1][j]
-                    + s[i][j - 1]
-                    - s[i - 1][j - 1]
-                    + mu1[i - 1] * mu2[j - 1] * f[i - 1][j - 1] * u[i - 1][j - 1]
-                )
-            u[i][j] = a[i][j] + s[i][j]
+    u = sweep2(
+        sc.ts1.graininesses(), sc.ts2.graininesses(), zero(sc.mode),
+        lambda i, j, w, u_ij: w * f[i][j] * u_ij,
+        lambda i, j, s: a[i][j] + s,
+    )
     return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
 
 
@@ -102,24 +92,13 @@ def equality_case_power(sc: BoundScenario) -> GridFunction2:
         if sc.p != sc.q:
             raise ModeRequired("exact power recursion needs p = q; use float mode")
         return equality_case_linear(sc)
-    n1, n2 = sc.a.shape
-    mu1 = sc.ts1.graininesses()
-    mu2 = sc.ts2.graininesses()
     a, f = sc.a.values, sc.f.values
     inv_p = 1.0 / sc.p
-    u = [[None] * n2 for _ in range(n1)]
-    s = [[0.0] * n2 for _ in range(n1)]
-    for i in range(n1):
-        for j in range(n2):
-            if i and j:
-                s[i][j] = (
-                    s[i - 1][j]
-                    + s[i][j - 1]
-                    - s[i - 1][j - 1]
-                    + mu1[i - 1] * mu2[j - 1] * f[i - 1][j - 1]
-                    * scalar_pow(u[i - 1][j - 1], sc.q, Mode.FLOAT)
-                )
-            u[i][j] = scalar_pow(a[i][j] + s[i][j], inv_p, Mode.FLOAT)
+    u = sweep2(
+        sc.ts1.graininesses(), sc.ts2.graininesses(), 0.0,
+        lambda i, j, w, u_ij: w * f[i][j] * scalar_pow(u_ij, sc.q, Mode.FLOAT),
+        lambda i, j, s: scalar_pow(a[i][j] + s, inv_p, Mode.FLOAT),
+    )
     return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
 
 
@@ -267,20 +246,15 @@ def _rand_rows(rng, n1, n2, lowest_num=0):
 
 def _running_sum_rows(rows):
     """2-D running sums: nondecreasing along both axes when entries are
-    nonnegative, and everywhere >= the top-left entry."""
-    n1, n2 = len(rows), len(rows[0])
-    out = [[Fraction(0)] * n2 for _ in range(n1)]
-    for i in range(n1):
-        for j in range(n2):
-            acc = rows[i][j]
-            if i:
-                acc += out[i - 1][j]
-            if j:
-                acc += out[i][j - 1]
-            if i and j:
-                acc -= out[i - 1][j - 1]
-            out[i][j] = acc
-    return out
+    nonnegative, and everywhere >= the top-left entry. Entry (i, j) is
+    the unit-weight double sum over sources up to (i, j), so it is the
+    sweep's cell (i + 1, j + 1)."""
+    sums = sweep2(
+        [1] * len(rows), [1] * len(rows[0]), Fraction(0),
+        lambda i, j, _w, _u: rows[i][j],
+        lambda _i, _j, s: s,
+    )
+    return [row[1:] for row in sums[1:]]
 
 
 def _float_rows(rows):

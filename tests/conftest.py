@@ -1,10 +1,10 @@
 """Shared builders for the test suite."""
 
-import random
 from fractions import Fraction
 
 from tsgronwall.grid2 import GridFunction2
 from tsgronwall.numeric import Mode
+from tsgronwall.oracle import _running_sum_rows
 from tsgronwall.timescale import TimeScale
 
 
@@ -33,18 +33,7 @@ def nondecreasing_grid(rng, ts1, ts2, positive=False):
     rows = [[rand_fraction(rng) for _ in range(n2)] for _ in range(n1)]
     if positive:
         rows[0][0] = rand_fraction(rng, 1)
-    out = [[Fraction(0)] * n2 for _ in range(n1)]
-    for i in range(n1):
-        for j in range(n2):
-            acc = rows[i][j]
-            if i:
-                acc += out[i - 1][j]
-            if j:
-                acc += out[i][j - 1]
-            if i and j:
-                acc -= out[i - 1][j - 1]
-            out[i][j] = acc
-    return GridFunction2.from_rows(ts1, ts2, out)
+    return GridFunction2.from_rows(ts1, ts2, _running_sum_rows(rows))
 
 
 def random_discrete_windows(rng, max_window=8):

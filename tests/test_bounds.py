@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import integer_windows, nondecreasing_grid, rand_fraction, rand_grid
+from conftest import (
+    integer_windows,
+    nondecreasing_grid,
+    rand_fraction,
+    rand_grid,
+    random_discrete_windows,
+)
 from tsgronwall.bounds import (
     BoundScenario,
     best_linear_bound,
@@ -83,6 +89,40 @@ def test_zero_weight_makes_both_linear_bounds_equal_the_offset():
     best = best_linear_bound(sc)
     assert best.values == a.values
     assert all(tag == "tie" for row in best.sharpness for tag in row)
+
+
+def _transposed(g):
+    return GridFunction2.from_rows(g.ts2, g.ts1, zip(*g.values))
+
+
+def _floated(g):
+    ts1, ts2 = (
+        TimeScale(ts.kind, tuple(float(t) for t in ts.points), Mode.FLOAT)
+        for ts in (g.ts1, g.ts2)
+    )
+    return GridFunction2.from_rows(ts1, ts2, [[float(v) for v in row] for row in g.values])
+
+
+def test_thm1_in6_is_in2_with_the_axes_swapped():
+    rng = random.Random(73)
+    kinds = set()
+    for _ in range(12):
+        ts1, ts2 = random_discrete_windows(rng)
+        kinds.update((ts1.kind, ts2.kind))
+        a = nondecreasing_grid(rng, ts1, ts2)
+        f = rand_grid(rng, ts1, ts2)
+        for a_m, f_m in ((a, f), (_floated(a), _floated(f))):
+            sc = BoundScenario(a=a_m, f=f_m)
+            swapped = BoundScenario(a=_transposed(a_m), f=_transposed(f_m))
+            in6 = thm1_bound_in6(sc)
+            in2 = thm1_bound_in2(swapped)
+            back = tuple(zip(*in2.values))
+            if sc.mode is Mode.EXACT:
+                assert in6.values == back
+            else:
+                assert repr(in6.values) == repr(back)
+            assert in6.hypotheses == in2.hypotheses
+    assert kinds == {"integers", "qscale", "sequence"}
 
 
 def test_best_linear_picks_the_sharper_side_per_point():
@@ -179,6 +219,17 @@ def test_thm3_rejects_offsets_needing_a_negative_power_at_zero():
     negative = GridFunction2.constant(ts1, ts2, -1.0)
     with pytest.raises(NonPositiveA):
         thm3_bound(BoundScenario(a=negative, f=f, p=2.0, q=1.0))
+
+
+def test_thm3_never_reads_the_last_column_weights():
+    # a = 0 on the last column only: a**(q/p - 1) has no value there, but
+    # the generator only integrates columns before the target's.
+    ts1, ts2 = integer_windows(4, 3, mode=Mode.FLOAT)
+    a = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: 0.0 if t2 == 2.0 else 1.0 + t1)
+    f = GridFunction2.constant(ts1, ts2, 1.0)
+    report = thm3_bound(BoundScenario(a=a, f=f, p=2.0, q=1.0))
+    assert [row[2] for row in report.values] == [0.0] * 4
+    assert report.hypotheses["a_positive"] is False
 
 
 def test_thm3_powered_exact_values_match_the_float_path():

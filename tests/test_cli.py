@@ -134,12 +134,14 @@ def refuse_non_finite(name):
 def test_cmd_bound_overflow_is_valid_json_and_not_dominated(tmp_path, capsys):
     # f = 10^300 on 41 x 41 points overflows: bounds go to inf and the
     # equality case to nan. That proves no domination, and JSON has no
-    # inf or nan, so they are written as strings.
+    # inf or nan, so they are written as strings. Every hypothesis holds,
+    # so the report is certified and the failed oracle makes the exit 1.
     window = {"kind": "integers", "a": "0", "b": "40"}
     doc = {"theorem": "thm1-in2", "mode": "float", "scale1": window, "scale2": window,
            "a": "1", "f": "10^300", "oracle": True}
-    main(["bound", str(write_config(tmp_path, doc))])
+    assert main(["bound", str(write_config(tmp_path, doc))]) == 1
     payload = json.loads(capsys.readouterr().out, parse_constant=refuse_non_finite)
+    assert payload["certified"] is True
     assert payload["oracle"]["dominated"] is False
     assert payload["oracle"]["worst_margin"] == "-inf"
     assert payload["bounds"][40][40] == "inf"

@@ -8,7 +8,13 @@ from tsgronwall.errors import (
     ModeRequired,
     NotDiscrete,
 )
-from tsgronwall.ibvp import IbvpProblem, check_estimate, estimate_in7, solve_ibvp
+from tsgronwall.ibvp import (
+    IbvpProblem,
+    _solve_with_trace,
+    check_estimate,
+    estimate_in7,
+    solve_ibvp,
+)
 from tsgronwall.numeric import Mode
 from tsgronwall.timescale import TimeScale
 
@@ -68,6 +74,24 @@ def test_solution_edges_match_the_boundary_data():
         assert u.value(t1, 0.0) == math.sqrt(t1)
     for t2 in prob.ts2.points:
         assert u.value(0.0, t2) == math.sqrt(t2 * t2)
+
+
+def test_F_is_read_once_per_source_cell_in_sweep_order():
+    calls = []
+
+    def F(t1, t2, u):
+        calls.append((t1, t2, u))
+        return t2 * u / 2
+
+    prob = _problem(F=F, n1=5, n2=4)
+    rows, trace = _solve_with_trace(prob)
+    pts1, pts2 = prob.ts1.points, prob.ts2.points
+    sources = [(i, j) for i in range(4) for j in range(3)]
+    assert calls == [(pts1[i], pts2[j], rows[i][j]) for i, j in sources]
+    assert trace == [(t1, t2, u, t2 * u / 2) for t1, t2, u in calls]
+    calls.clear()
+    solve_ibvp(prob)
+    assert len(calls) == len(sources)
 
 
 def test_estimate_on_the_first_edge_is_sqrt_g():
