@@ -14,13 +14,18 @@ to thm4 through the literal increment product.
 
 Two loops compute them all: _linear_core runs thm1-in2, thm1-in6 (the
 axes swapped) and thm3; _kernel_bound_values runs thm2, thm4 and cor31.
+kernel_factor_values owns the tables of a separable kernel's factors:
+which targets and sources are read, whether the values qualify, and the
+fallback when a factor raises. The kernel bounds here and the kernel
+equality case in the oracle both read them.
 
-Exact mode and powers: the generator weight a**(q/p - 1) is exact only
-when the exponent is 0 or -1, anything else raises ModeRequired. When
-p = q > 1 the bound itself, a**(1/p) * e**(1/p), is irrational, so exact
-reports carry (a * e), the p-th power of the bound, flagged ``powered``;
-comparisons against the matching powered oracle stay exact because
-x -> x**p is increasing on the nonnegative axis.
+Exact mode and powers: p >= q > 0 puts the generator exponent q/p - 1
+in (-1, 0], and a**(q/p - 1) is exact only at 0, so exact power bounds
+need p = q (_require_exact_power), anything else raises ModeRequired.
+When p = q > 1 the bound itself, a**(1/p) * e**(1/p), is irrational, so
+exact reports carry (a * e), the p-th power of the bound, flagged
+``powered``; comparisons against the matching powered oracle stay exact
+because x -> x**p is increasing on the nonnegative axis.
 """
 
 from __future__ import annotations
@@ -159,13 +164,12 @@ def _require_a_not_negative(sc: BoundScenario) -> None:
                 raise NonPositiveA("offset grid has negative entries")
 
 
-def _check_exact_exponent(sc: BoundScenario) -> Scalar:
-    expo = sc.power_exponent()
-    if sc.mode is Mode.EXACT and expo not in (0, -1):
-        raise ModeRequired(
-            f"generator exponent {expo} has no exact value; use float mode"
-        )
-    return expo
+def _require_exact_power(sc: BoundScenario, computation: str) -> None:
+    """The one exact-power rule, for the power bounds and the power
+    equality cases: exact mode needs p = q. Raises ModeRequired naming
+    the computation that needs float mode."""
+    if sc.mode is Mode.EXACT and sc.p != sc.q:
+        raise ModeRequired(f"exact {computation} needs p = q; use float mode")
 
 
 def _weighted_a_power(sc: BoundScenario, weight, a_value, expo) -> Scalar:
@@ -269,26 +273,50 @@ def best_linear_bound(sc: BoundScenario) -> BoundReport:
     )
 
 
-def kernel_factor_values(sc: BoundScenario, targets, sources):
-    """Values of the separable kernel's factors: a dict from each target
-    index pair (i, j) to the tuple of phi_k(t1_i, t2_j), and from each
-    source pair to the tuple of psi_k. None when a value is negative or
-    not finite; then the sum of products gives no sign for the kernel
-    flag and loses digits to cancellation in float mode, so callers take
-    the direct path. Factor errors propagate."""
-    pts1, pts2 = sc.ts1.points, sc.ts2.points
-    found = []
-    for pairs, side in ((targets, 0), (sources, 1)):
-        fns = [term[side] for term in sc.kernel_terms]
-        values = {}
-        for i, j in pairs:
-            vals = tuple(fn(pts1[i], pts2[j]) for fn in fns)
-            for v in vals:
-                if not 0 <= v < math.inf:
-                    return None
-            values[i, j] = vals
-        found.append(values)
-    return found
+def kernel_factor_values(sc: BoundScenario, skip_zero_f: bool):
+    """The separable kernel's factor tables as row lists: phi[i][j] holds
+    the phi_k(t1_i, t2_j) at each target (i, j >= 1, minus f = 0 with
+    `skip_zero_f`; None elsewhere), psi[i][j] the psi_k at each source
+    (i < n1 - 1, j < n2 - 1). None without kernel_terms, when a factor
+    raises (the direct path raises it again, at its own place), or when a
+    value is negative or not finite: the sum of products then gives no
+    sign for the kernel flag and loses digits to cancellation in float
+    mode."""
+    if sc.kernel_terms is None:
+        return None
+    n1, n2 = sc.a.shape
+    pts1, pts2, f = sc.ts1.points, sc.ts2.points, sc.f.values
+
+    def factors(side, i, j):
+        return tuple(term[side](pts1[i], pts2[j]) for term in sc.kernel_terms)
+
+    try:
+        phi = [
+            [
+                None if i == 0 or j == 0 or (skip_zero_f and f[i][j] == 0) else factors(0, i, j)
+                for j in range(n2)
+            ]
+            for i in range(n1)
+        ]
+        psi = [[factors(1, i, j) for j in range(n2 - 1)] for i in range(n1 - 1)]
+    except (TsgronwallError, ArithmeticError):
+        return None
+    if all(0 <= v < math.inf for row in phi + psi for vs in row if vs is not None for v in vs):
+        return phi, psi
+    return None
+
+
+def _psi_prefix_row(psi_row, weights, zero_value):
+    """Running sums along one row of a psi table: entry j holds, for each
+    factor k, the sum over jj < j of weights[jj] * psi_k. Callers form
+    the weights in their own multiplication order."""
+    acc = [zero_value] * len(psi_row[0])
+    row = [tuple(acc)]
+    for w, psi_values in zip(weights, psi_row):
+        for k, v in enumerate(psi_values):
+            acc[k] += w * v
+        row.append(tuple(acc))
+    return row
 
 
 def _direct_generator(sc: BoundScenario, weights, expo, hyp):
@@ -325,42 +353,30 @@ def _separable_generator(sc: BoundScenario, weights, expo, skip_zero_f):
     O(n1 * n2 * r) factor calls and O(n1^2 * n2 * r) arithmetic over the
     grid. Every factor is nonnegative, so the kernel flag stays true.
 
-    Factors are read at exactly the points the direct loop visits, the
-    sources forming a staircase under the targets, so they raise only
-    where the direct loop would. A negative power of a zero offset raises
-    here at every visited source, while the direct loop takes it only
-    where the kernel is nonzero; the caller falls back on any error, so
-    both cases end on the direct loop."""
-    n1, n2 = sc.a.shape
-    a, f = sc.a.values, sc.f.values
-    targets = [
-        (i, j) for i in range(1, n1) for j in range(1, n2)
-        if not (skip_zero_f and f[i][j] == 0)
-    ]
-    reach = [0] * n1  # row i's sources that some target reads: jj < reach[i]
-    for i_star, j_star in targets:
-        reach[i_star - 1] = max(reach[i_star - 1], j_star)
-    for i in range(n1 - 2, -1, -1):
-        reach[i] = max(reach[i], reach[i + 1])
-    sources = [(i, jj) for i in range(n1) for jj in range(reach[i])]
-    factors = kernel_factor_values(sc, targets, sources)
+    A negative power of a zero offset raises here at every source, while
+    the direct loop takes it only where the kernel is nonzero; it returns
+    None then too, so the direct loop decides."""
+    factors = kernel_factor_values(sc, skip_zero_f)
     if factors is None:
         return None
     phi_at, psi_at = factors
+    a = sc.a.values
     zero_value = zero(sc.mode)
-    prefix = []
-    for i in range(n1):
-        acc = [zero_value] * len(sc.kernel_terms)
-        row = [tuple(acc)]
-        for jj in range(reach[i]):
-            w = weights[jj] * scalar_pow(a[i][jj], expo, sc.mode) if expo else weights[jj]
-            for k, v in enumerate(psi_at[i, jj]):
-                acc[k] += w * v
-            row.append(tuple(acc))
-        prefix.append(row)
+    try:
+        prefix = [
+            _psi_prefix_row(
+                psi_row,
+                [w * scalar_pow(a[i][jj], expo, sc.mode) for jj, w in enumerate(weights)]
+                if expo else weights,
+                zero_value,
+            )
+            for i, psi_row in enumerate(psi_at)
+        ]
+    except (TsgronwallError, ArithmeticError):
+        return None
 
     def generator(i_star, j_star, f_star):
-        phis = phi_at.get((i_star, j_star))
+        phis = phi_at[i_star][j_star]
         if phis is None:
             return [f_star * zero_value] * i_star
         coefficients = [f_star * phi for phi in phis]
@@ -391,12 +407,7 @@ def _kernel_bound_values(sc: BoundScenario, hyp, weights, expo, product, outer, 
     n1, n2 = sc.a.shape
     a, f = sc.a.values, sc.f.values
     hyp["kernel_nonnegative"] = True
-    generator = None
-    if sc.kernel_terms is not None:
-        try:
-            generator = _separable_generator(sc, weights, expo, skip_zero_f)
-        except (TsgronwallError, ArithmeticError):
-            pass  # the direct loop raises it again, at its own place
+    generator = _separable_generator(sc, weights, expo, skip_zero_f)
     if generator is None:
         generator = _direct_generator(sc, weights, expo, hyp)
     zero_value = zero(sc.mode)
@@ -432,7 +443,8 @@ def thm2_bound(sc: BoundScenario) -> BoundReport:
 def thm3_bound(sc: BoundScenario) -> BoundReport:
     """Power bound: offset and exponential both raised to 1/p, with the
     generator weighting f by a**(q/p - 1); the thm1-in2 loop otherwise."""
-    expo = _check_exact_exponent(sc)
+    _require_exact_power(sc, "thm3 generator weight a**(q/p - 1)")
+    expo = sc.power_exponent()
     _require_a_not_negative(sc)
     hyp = _hypotheses(sc, a_positive=True)
     a, f = sc.a.values, sc.f.values
@@ -453,7 +465,8 @@ def _power_kernel_bound(sc: BoundScenario, theorem, weights, product) -> BoundRe
     everything raised to 1/p, targets with f(t*) = 0 skipped."""
     if sc.kernel is None:
         raise ValueError(f"{theorem} needs a kernel")
-    expo = _check_exact_exponent(sc)
+    _require_exact_power(sc, f"{theorem} generator weight a**(q/p - 1)")
+    expo = sc.power_exponent()
     _require_a_not_negative(sc)
     hyp = _hypotheses(sc, f_monotone=True, a_positive=True)
     values = _kernel_bound_values(

@@ -20,32 +20,15 @@ from . import config
 from .bounds import BoundScenario, compute_bound, thm1_bound_in2, thm1_bound_in6
 from .errors import ConfigError, HypothesisViolated, TsgronwallError
 from .grid2 import GridFunction2
-from .ibvp import check_estimate, estimate_in7
+from .ibvp import check_estimate
 from .numeric import Mode, format_scalar
-from .oracle import (
-    CAMPAIGN_THEOREMS,
-    equality_case_kernel,
-    equality_case_linear,
-    equality_case_power,
-    check_domination,
-    run_campaign,
-)
+from .oracle import CAMPAIGN_THEOREMS, EQUALITY_CASES, check_domination, run_campaign
 from .timescale import TimeScale
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNCERTIFIED = 2
 DEFAULT_SEED = 0
-
-_ORACLE_FOR_THEOREM = {
-    "thm1-in2": equality_case_linear,
-    "thm1-in6": equality_case_linear,
-    "best-linear": equality_case_linear,
-    "thm2": equality_case_kernel,
-    "thm3": equality_case_power,
-    "thm4": equality_case_kernel,
-    "cor31": equality_case_kernel,
-}
 
 # Built-in worked example: six tabulated weights on the 4 x 3 integer
 # window with unit offset, and the exact factors both linear bounds must
@@ -95,7 +78,7 @@ def cmd_bound(args) -> int:
     oracle_result = None
     sc = scenario.bound_scenario
     if scenario.run_oracle and sc.ts1.is_discrete and sc.ts2.is_discrete:
-        u_star = _ORACLE_FOR_THEOREM[scenario.theorem](sc)
+        u_star = EQUALITY_CASES[scenario.theorem](sc)
         oracle_result = check_domination(u_star, report)
     if args.format == "csv":
         text = config.report_to_csv(report)
@@ -125,16 +108,15 @@ def cmd_ibvp(args) -> int:
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED
-    solution = result.u_star
-    estimate = estimate_in7(problem)
+    solution, estimate = result.u_star.values, result.bound_values
     margins = [
         [e - u for u, e in zip(u_row, e_row)]
-        for u_row, e_row in zip(solution.values, estimate.values)
+        for u_row, e_row in zip(solution, estimate)
     ]
     if args.format == "csv":
         sections = (
-            ("solution", solution.values),
-            ("estimate", estimate.values),
+            ("solution", solution),
+            ("estimate", estimate),
             ("margins", margins),
         )
         blocks = []
@@ -154,8 +136,8 @@ def cmd_ibvp(args) -> int:
                     "points1": [config.scalar_to_json(p) for p in problem.ts1.points],
                     "points2": [config.scalar_to_json(p) for p in problem.ts2.points],
                 },
-                "solution": config.matrix_to_json(solution.values),
-                "estimate": config.matrix_to_json(estimate.values),
+                "solution": config.matrix_to_json(solution),
+                "estimate": config.matrix_to_json(estimate),
                 "margins": config.matrix_to_json(margins),
             },
             indent=2,

@@ -124,7 +124,8 @@ def estimate_in7(prob: IbvpProblem) -> GridFunction2:
 def check_estimate(prob: IbvpProblem) -> OracleResult:
     """Solve, verify the recorded F values stayed inside 0 <= F <= t2*u,
     then compare the solution against the majorant at every grid point
-    except the origin (float mode, relative tolerance)."""
+    except the origin (float mode, relative tolerance). The majorant's
+    values come back as ``bound_values``."""
     rows, trace = _solve_with_trace(prob)
     for s1, s2, u_val, f_val in trace:
         limit = s2 * u_val
@@ -139,4 +140,4 @@ def check_estimate(prob: IbvpProblem) -> OracleResult:
     )
     solution = GridFunction2.from_rows(prob.ts1, prob.ts2, rows)
     points = [(prob.ts1.points[i], prob.ts2.points[j]) for i, j in attained_idx]
-    return OracleResult(solution, dominated, worst, points)
+    return OracleResult(solution, dominated, worst, points, estimate.values)

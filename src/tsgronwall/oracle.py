@@ -7,9 +7,16 @@ falls out of a single sweep over the grid. A bound that dominates the
 equality case dominates every admissible function, which turns a
 universally quantified claim into one comparison per grid point.
 
-Campaigns draw reproducible random scenarios (rationals with numerators
-0..9 and denominators 1..9; nondecreasing grids built as running sums of
-nonnegative increments) and count domination failures across seeds.
+The kernel equality case reads the separable kernel's factor tables
+from bounds.kernel_factor_values, the same tables the kernel bounds read.
+
+Campaigns draw reproducible random scenarios from one builder (rationals
+with numerators 0..9 and denominators 1..9; nondecreasing grids built as
+running sums of nonnegative increments) and count domination failures
+across seeds. thm1 checks its three linear bounds; every other campaign
+theorem takes one case path, which reads its power pairs and scenario
+builder off the table _CAMPAIGN_CASES, its bound off compute_bound and
+its equality case off EQUALITY_CASES.
 """
 
 from __future__ import annotations
@@ -18,22 +25,23 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .bounds import (
     BoundReport,
     BoundScenario,
+    _psi_prefix_row,
+    _require_exact_power,
     best_linear_bound,
-    cor31_bound,
+    compute_bound,
     kernel_factor_values,
     kernel_value,
     thm1_bound_in2,
     thm1_bound_in6,
-    thm2_bound,
-    thm3_bound,
     thm4_bound,
 )
-from .errors import GridMismatch, ModeRequired, NonPositiveA, NotDiscrete, TsgronwallError
+from .errors import GridMismatch, NonPositiveA, NotDiscrete
 from .grid2 import GridFunction2, sweep2
 from .numeric import Mode, Scalar, format_scalar, scalar_pow, zero
 from .timescale import TimeScale
@@ -48,12 +56,14 @@ THM4_PAIRS = ((1, 1), (2, 1), (2, 2), (3, 2))
 
 @dataclass
 class OracleResult:
-    """Outcome of comparing one premise solution against one bound."""
+    """Outcome of comparing one premise solution against one bound;
+    ``bound_values`` holds the bound grid it was compared with."""
 
     u_star: GridFunction2
     dominated: bool
     worst_margin: Scalar
     attained_points: list[tuple[Scalar, Scalar]]
+    bound_values: tuple = ()
 
 
 def _require_discrete(sc: BoundScenario) -> None:
@@ -89,8 +99,7 @@ def equality_case_power(sc: BoundScenario) -> GridFunction2:
             if v <= 0:
                 raise NonPositiveA("power recursion needs a positive offset grid")
     if sc.mode is Mode.EXACT:
-        if sc.p != sc.q:
-            raise ModeRequired("exact power recursion needs p = q; use float mode")
+        _require_exact_power(sc, "power recursion")
         return equality_case_linear(sc)
     a, f = sc.a.values, sc.f.values
     inv_p = 1.0 / sc.p
@@ -124,18 +133,10 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
         for v in row:
             if v < 0:
                 raise NonPositiveA("kernel recursion needs a nonnegative offset grid")
+    _require_exact_power(sc, "kernel recursion")
     exact = sc.mode is Mode.EXACT
-    if exact and sc.p != sc.q:
-        raise ModeRequired("exact kernel recursion needs p = q; use float mode")
     n1, n2 = sc.a.shape
-    factors = None
-    if sc.kernel_terms is not None:
-        targets = [(i, j) for i in range(1, n1) for j in range(1, n2)]
-        sources = [(i, j) for i in range(n1 - 1) for j in range(n2 - 1)]
-        try:
-            factors = kernel_factor_values(sc, targets, sources)
-        except (TsgronwallError, ArithmeticError):
-            pass  # the direct sweep raises it again, at its own place
+    factors = kernel_factor_values(sc, False)
     pts1, pts2 = sc.ts1.points, sc.ts2.points
     mu1 = sc.ts1.graininesses()
     mu2 = sc.ts2.graininesses()
@@ -145,9 +146,8 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     u_q = [[None] * n2 for _ in range(n1)]
     if factors is not None:
         phi_at, psi_at = factors
-        r = len(sc.kernel_terms)
         # below[j][k]: sum over ii < i, jj < j of mu1 mu2 psi_k u**q
-        below = [(zero_value,) * r] * n2
+        below = [(zero_value,) * len(sc.kernel_terms)] * n2
     for i in range(n1):
         for j in range(n2):
             s = zero_value
@@ -161,7 +161,7 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
                             * u_q[ii][jj]
                         )
             elif i and j:
-                for phi, p_k in zip(phi_at[i, j], below[j]):
+                for phi, p_k in zip(phi_at[i][j], below[j]):
                     s += phi * p_k
             rhs = a[i][j] + f[i][j] * s
             if exact:
@@ -171,15 +171,24 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
                 u[i][j] = scalar_pow(rhs, 1.0 / sc.p, Mode.FLOAT)
                 u_q[i][j] = scalar_pow(u[i][j], sc.q, Mode.FLOAT)
         if factors is not None and i + 1 < n1:
-            acc = [zero_value] * r
-            next_below = [below[0]]
-            for jj in range(n2 - 1):
-                w = mu1[i] * mu2[jj] * u_q[i][jj]
-                for k, v in enumerate(psi_at[i, jj]):
-                    acc[k] += w * v
-                next_below.append(tuple(x + y for x, y in zip(below[jj + 1], acc)))
-            below = next_below
+            row = _psi_prefix_row(
+                psi_at[i], [mu1[i] * mu2[jj] * u_q[i][jj] for jj in range(n2 - 1)], zero_value
+            )
+            below = [tuple(x + y for x, y in zip(b, r)) for b, r in zip(below, row)]
     return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
+
+
+# Bound selector -> the equality case its oracle solves, for the CLI and
+# the campaigns.
+EQUALITY_CASES = {
+    "thm1-in2": equality_case_linear,
+    "thm1-in6": equality_case_linear,
+    "best-linear": equality_case_linear,
+    "thm2": equality_case_kernel,
+    "thm3": equality_case_power,
+    "thm4": equality_case_kernel,
+    "cor31": equality_case_kernel,
+}
 
 
 def domination_summary(u_values, bound_values, mode: Mode, exclude=frozenset()):
@@ -230,7 +239,7 @@ def check_domination(u: GridFunction2, report: BoundReport) -> OracleResult:
         u.values, report.values, report.mode
     )
     points = [(u.ts1.points[i], u.ts2.points[j]) for i, j in attained_idx]
-    return OracleResult(u, dominated, worst, points)
+    return OracleResult(u, dominated, worst, points, report.values)
 
 
 # -- reproducible random scenarios ------------------------------------
@@ -293,34 +302,47 @@ def _scales(rng, n1, n2, mode, sequence_scales):
     return ts1, ts2
 
 
-def random_linear_scenario(rng: random.Random, max_window: int = 12) -> BoundScenario:
-    """f nonnegative, a nonnegative and nondecreasing, on an integer grid."""
+def _random_scenario(
+    rng, max_window, mode, sequence_scales, *, positive_a, kernel, p=1, q=1
+) -> BoundScenario:
+    """The one random-scenario builder: f nonnegative (nondecreasing with
+    a kernel), a nonnegative and nondecreasing (positive with
+    `positive_a`), and with `kernel` a nonnegative polynomial kernel in
+    all four arguments. Draws window sizes, scales, f, a, then the
+    kernel's coefficients."""
     n1, n2 = _window_sizes(rng, max_window)
-    ts1, ts2 = _scales(rng, n1, n2, Mode.EXACT, False)
+    ts1, ts2 = _scales(rng, n1, n2, mode, sequence_scales)
     f_rows = _rand_rows(rng, n1, n2)
-    a_rows = _running_sum_rows(_rand_rows(rng, n1, n2))
+    if kernel:
+        f_rows = _running_sum_rows(f_rows)
+    seed_rows = _rand_rows(rng, n1, n2)
+    if positive_a:
+        seed_rows[0][0] = _rand_fraction(rng, 1)
+    a_rows = _running_sum_rows(seed_rows)
+    if mode is Mode.FLOAT:
+        f_rows, a_rows = _float_rows(f_rows), _float_rows(a_rows)
+    g = None
+    if kernel:
+        g = _polynomial_kernel([_rand_fraction(rng) for _ in range(6)], mode)
     return BoundScenario(
         a=GridFunction2.from_rows(ts1, ts2, a_rows),
         f=GridFunction2.from_rows(ts1, ts2, f_rows),
+        kernel=g,
+        p=p, q=q,
     )
+
+
+def random_linear_scenario(rng: random.Random, max_window: int = 12) -> BoundScenario:
+    """f nonnegative, a nonnegative and nondecreasing, on an integer grid."""
+    return _random_scenario(rng, max_window, Mode.EXACT, False, positive_a=False, kernel=False)
 
 
 def random_power_scenario(
     rng: random.Random, max_window: int = 12, p=1, q=1, mode: Mode = Mode.EXACT
 ) -> BoundScenario:
     """a positive and nondecreasing, f nonnegative, with powers p >= q."""
-    n1, n2 = _window_sizes(rng, max_window)
-    ts1, ts2 = _scales(rng, n1, n2, mode, False)
-    f_rows = _rand_rows(rng, n1, n2)
-    seed_rows = _rand_rows(rng, n1, n2)
-    seed_rows[0][0] = _rand_fraction(rng, 1)
-    a_rows = _running_sum_rows(seed_rows)
-    if mode is Mode.FLOAT:
-        f_rows, a_rows = _float_rows(f_rows), _float_rows(a_rows)
-    return BoundScenario(
-        a=GridFunction2.from_rows(ts1, ts2, a_rows),
-        f=GridFunction2.from_rows(ts1, ts2, f_rows),
-        p=p, q=q,
+    return _random_scenario(
+        rng, max_window, mode, False, positive_a=True, kernel=False, p=p, q=q
     )
 
 
@@ -334,20 +356,8 @@ def random_kernel_scenario(
 ) -> BoundScenario:
     """a positive, a and f nondecreasing, plus a nonnegative polynomial
     kernel in all four arguments."""
-    n1, n2 = _window_sizes(rng, max_window)
-    ts1, ts2 = _scales(rng, n1, n2, mode, sequence_scales)
-    f_rows = _running_sum_rows(_rand_rows(rng, n1, n2))
-    seed_rows = _rand_rows(rng, n1, n2)
-    seed_rows[0][0] = _rand_fraction(rng, 1)
-    a_rows = _running_sum_rows(seed_rows)
-    if mode is Mode.FLOAT:
-        f_rows, a_rows = _float_rows(f_rows), _float_rows(a_rows)
-    coefficients = [_rand_fraction(rng) for _ in range(6)]
-    return BoundScenario(
-        a=GridFunction2.from_rows(ts1, ts2, a_rows),
-        f=GridFunction2.from_rows(ts1, ts2, f_rows),
-        kernel=_polynomial_kernel(coefficients, mode),
-        p=p, q=q,
+    return _random_scenario(
+        rng, max_window, mode, sequence_scales, positive_a=True, kernel=True, p=p, q=q
     )
 
 
@@ -379,57 +389,39 @@ class CampaignSummary:
         }
 
 
-def _mode_for_pair(p: int, q: int) -> Mode:
-    return Mode.EXACT if Fraction(q, p) - 1 in (0, -1) else Mode.FLOAT
-
-
-def _values_agree(first: BoundReport, second: BoundReport) -> bool:
-    if first.mode is Mode.EXACT:
-        return first.values == second.values
-    for row_a, row_b in zip(first.values, second.values):
-        for va, vb in zip(row_a, row_b):
-            if abs(va - vb) > REL_TOL * max(abs(va), abs(vb), 1.0):
-                return False
-    return True
+# Campaign theorem past thm1 -> (power pairs, cycled over the cases and
+# exact when p = q, and the scenario builder).
+_CAMPAIGN_CASES = {
+    "thm2": (((1, 1),), random_kernel_scenario),
+    "thm3": (THM3_PAIRS, random_power_scenario),
+    "thm4": (THM4_PAIRS, random_kernel_scenario),
+    "cor31": (THM4_PAIRS, partial(random_kernel_scenario, sequence_scales=True)),
+}
 
 
 def _run_case(theorem: str, rng: random.Random, case_index: int, max_window: int):
     """One campaign case: returns (ok, oracle results). The last result in
-    the list belongs to the tightest bound and feeds the attained count."""
+    the list belongs to the tightest bound and feeds the attained count.
+    A cor31 case also needs thm4 to agree with it: each must dominate the
+    other."""
     if theorem == "thm1":
         sc = random_linear_scenario(rng, max_window)
         u = equality_case_linear(sc)
         reports = [thm1_bound_in2(sc), thm1_bound_in6(sc), best_linear_bound(sc)]
         results = [check_domination(u, rep) for rep in reports]
         return all(r.dominated for r in results), results
-    if theorem == "thm2":
-        sc = random_kernel_scenario(rng, max_window)
-        u = equality_case_kernel(sc)
-        result = check_domination(u, thm2_bound(sc))
-        return result.dominated, [result]
-    if theorem == "thm3":
-        p, q = THM3_PAIRS[case_index % len(THM3_PAIRS)]
-        sc = random_power_scenario(rng, max_window, p=p, q=q, mode=_mode_for_pair(p, q))
-        u = equality_case_power(sc)
-        result = check_domination(u, thm3_bound(sc))
-        return result.dominated, [result]
-    if theorem == "thm4":
-        p, q = THM4_PAIRS[case_index % len(THM4_PAIRS)]
-        sc = random_kernel_scenario(rng, max_window, p=p, q=q, mode=_mode_for_pair(p, q))
-        u = equality_case_kernel(sc)
-        result = check_domination(u, thm4_bound(sc))
-        return result.dominated, [result]
+    pairs, build = _CAMPAIGN_CASES[theorem]
+    p, q = pairs[case_index % len(pairs)]
+    sc = build(rng, max_window, p=p, q=q, mode=Mode.EXACT if p == q else Mode.FLOAT)
+    u = EQUALITY_CASES[theorem](sc)
+    report = compute_bound(theorem, sc)
+    result = check_domination(u, report)
+    ok = result.dominated
     if theorem == "cor31":
-        p, q = THM4_PAIRS[case_index % len(THM4_PAIRS)]
-        sc = random_kernel_scenario(
-            rng, max_window, p=p, q=q, mode=_mode_for_pair(p, q), sequence_scales=True
-        )
-        u = equality_case_kernel(sc)
-        report = cor31_bound(sc)
-        result = check_domination(u, report)
-        paths_agree = _values_agree(report, thm4_bound(sc))
-        return result.dominated and paths_agree, [result]
-    raise ValueError(f"unknown campaign theorem {theorem!r}")
+        other = thm4_bound(sc).values
+        for first, second in ((report.values, other), (other, report.values)):
+            ok = domination_summary(first, second, sc.mode)[0] and ok
+    return ok, [result]
 
 
 def run_campaign(theorem: str, cases: int, seed: int, max_window: int = 12) -> CampaignSummary:

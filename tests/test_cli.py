@@ -7,7 +7,6 @@ from tsgronwall import config
 from tsgronwall.cli import main
 from tsgronwall.errors import ConfigError
 from tsgronwall.numeric import Mode
-from tsgronwall.timescale import TimeScale
 
 
 EXAMPLE_TABLE = {

@@ -17,7 +17,6 @@ from tsgronwall.errors import (
 )
 from tsgronwall.exprlang import (
     Bin,
-    Call,
     Lit,
     Neg,
     Var,

@@ -8,7 +8,6 @@ from tsgronwall.cli import example31_scenario
 from tsgronwall.errors import MaximumPoint, ModeMismatch
 from tsgronwall.grid2 import GridFunction2
 from tsgronwall.numeric import Mode
-from tsgronwall.timescale import TimeScale
 
 
 def test_dimensions_must_match_windows():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import integer_windows, nondecreasing_grid, rand_fraction, rand_grid
+from tsgronwall import oracle
 from tsgronwall.bounds import (
     BoundScenario,
     best_linear_bound,
+    cor31_bound,
     thm1_bound_in2,
     thm2_bound,
     thm3_bound,
@@ -250,3 +253,51 @@ def test_campaign_is_reproducible():
     first = run_campaign("thm1", 5, seed=42, max_window=6)
     second = run_campaign("thm1", 5, seed=42, max_window=6)
     assert first.to_jsonable() == second.to_jsonable()
+
+
+# Recorded run_campaign(theorem, 8, seed, max_window=8) summaries: the
+# window sizes, and with them the attained counts, change with any change
+# in the order the scenarios are drawn.
+RECORDED_SUMMARIES = {
+    ("thm1", 4): ("0", 65),
+    ("thm2", 4): ("0", 90),
+    ("thm3", 4): (0.0, 65),
+    ("thm4", 4): ("0", 90),
+    ("cor31", 4): ("0", 69),
+    ("thm1", 9): ("0", 72),
+    ("thm2", 9): ("0", 82),
+    ("thm3", 9): (0.0, 79),
+    ("thm4", 9): ("0", 82),
+    ("cor31", 9): ("0", 60),
+}
+
+
+@pytest.mark.parametrize("theorem,seed", sorted(RECORDED_SUMMARIES))
+def test_campaign_summaries_match_the_recorded_draws(theorem, seed):
+    worst, attained = RECORDED_SUMMARIES[theorem, seed]
+    assert run_campaign(theorem, 8, seed, max_window=8).to_jsonable() == {
+        "theorem": theorem,
+        "cases": 8,
+        "failures": 0,
+        "worst_margin": worst,
+        "attained_count": attained,
+        "seed": seed,
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cor31_cross_check_fails_on_non_finite_thm4_values(monkeypatch, bad):
+    # thm4 is replaced by the cor31 report itself, with one value spoiled
+    # in float mode; exact cases keep the report as it is and agree.
+    def spoiled_thm4(sc):
+        report = cor31_bound(sc)
+        if report.mode is Mode.EXACT:
+            return report
+        rows = [list(row) for row in report.values]
+        rows[-1][-1] = bad
+        return dataclasses.replace(report, values=tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(oracle, "thm4_bound", spoiled_thm4)
+    # (1, 1), (2, 1), (2, 2), (3, 2): four of the eight cases run in float mode
+    summary = run_campaign("cor31", 8, 3, 6)
+    assert summary.failures == 4

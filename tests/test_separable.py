@@ -47,6 +47,9 @@ SEQUENCE2 = {"kind": "sequence", "t0": "0", "alphas": ["1/2", "1/2", "1", "1/2"]
 F_GRIDS = {
     "positive": "1/8 + t1*t2/16",
     "with-zeros": "max(t1 - 2, 0)*t2/4",
+    # zero on the far rows: thm4 and cor31 skip their targets, but the
+    # factor tables still cover every source below the last row and column
+    "zero-far-rows": "max(3 - t1, 0)*t2/4",
 }
 
 
