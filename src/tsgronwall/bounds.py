@@ -14,10 +14,13 @@ to thm4 through the literal increment product.
 
 Two loops compute them all: _linear_core runs thm1-in2, thm1-in6 (the
 axes swapped) and thm3; _kernel_bound_values runs thm2, thm4 and cor31.
-kernel_factor_values owns the tables of a separable kernel's factors:
-which targets and sources are read, whether the values qualify, and the
-fallback when a factor raises. The kernel bounds here and the kernel
-equality case in the oracle both read them.
+kernel_generator is the one kernel sum: at a target, the per-row sums
+over the sources below it of coefficient * kernel value. It alone picks
+between the separable prefix-sum path and the direct double sum, and
+the kernel bounds here and the kernel equality case in the oracle both
+read it. kernel_factor_values owns the tables of a separable kernel's
+factors: which targets and sources are read, whether the values
+qualify, and the fallback when a factor raises.
 
 Exact mode and powers: p >= q > 0 puts the generator exponent q/p - 1
 in (-1, 0], and a**(q/p - 1) is exact only at 0, so exact power bounds
@@ -172,6 +175,9 @@ def _require_exact_power(sc: BoundScenario, computation: str) -> None:
         raise ModeRequired(f"exact {computation} needs p = q; use float mode")
 
 
+_NEEDS_POSITIVE_A = "offset grid must be positive where the generator needs a negative power"
+
+
 def _weighted_a_power(sc: BoundScenario, weight, a_value, expo) -> Scalar:
     """weight * a**expo, with a zero weight killing the term before the
     power is taken. The only admissible zero of a sits where the weight
@@ -181,9 +187,7 @@ def _weighted_a_power(sc: BoundScenario, weight, a_value, expo) -> Scalar:
     if expo == 0:
         return weight
     if a_value <= 0:
-        raise NonPositiveA(
-            "offset grid must be positive where the generator needs a negative power"
-        )
+        raise NonPositiveA(_NEEDS_POSITIVE_A)
     return weight * scalar_pow(a_value, expo, sc.mode)
 
 
@@ -246,8 +250,12 @@ def thm1_bound_in6(sc: BoundScenario) -> BoundReport:
 def best_linear_bound(sc: BoundScenario) -> BoundReport:
     """Pointwise minimum of the two linear bounds. The sharpness table
     records which side won at each point: "in2", "in6" or "tie"."""
-    r2 = thm1_bound_in2(sc)
-    r6 = thm1_bound_in6(sc)
+    return _best_linear_of(sc, thm1_bound_in2(sc), thm1_bound_in6(sc))
+
+
+def _best_linear_of(sc: BoundScenario, r2: BoundReport, r6: BoundReport) -> BoundReport:
+    """best_linear_bound from the thm1-in2 and thm1-in6 reports of `sc`,
+    for callers that already hold them."""
     n1, n2 = sc.a.shape
     values = []
     sharpness = []
@@ -306,86 +314,78 @@ def kernel_factor_values(sc: BoundScenario, skip_zero_f: bool):
     return None
 
 
-def _psi_prefix_row(psi_row, weights, zero_value):
-    """Running sums along one row of a psi table: entry j holds, for each
-    factor k, the sum over jj < j of weights[jj] * psi_k. Callers form
-    the weights in their own multiplication order."""
-    acc = [zero_value] * len(psi_row[0])
-    row = [tuple(acc)]
-    for w, psi_values in zip(weights, psi_row):
-        for k, v in enumerate(psi_values):
-            acc[k] += w * v
-        row.append(tuple(acc))
-    return row
+def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: dict):
+    """The kernel sum behind the kernel bounds and their equality case.
 
+    generator(i*, j*, f*) returns, for each source row i < i*, f* times
+    the sum over jj < j* of coefficients[i][jj] * g(t*; s), with the
+    kernel frozen at the target t* and s = (t1_i, t2_jj). `coefficients`
+    holds one list per source row and may still grow, because a target
+    reads only the rows below it. A None coefficient marks a source whose
+    weight does not exist (a zero offset under a negative power); reading
+    it where the kernel is nonzero raises NonPositiveA. `skip_zero_f` is
+    passed on to kernel_factor_values.
 
-def _direct_generator(sc: BoundScenario, weights, expo, hyp):
-    """generator(i*, j*, f*) for any kernel, by the double sum at each
-    target: O(n1^2 * n2^2) kernel calls over the grid. Clears the
-    kernel_nonnegative flag in `hyp` at the first negative value read."""
-    pts1, pts2 = sc.ts1.points, sc.ts2.points
-    a = sc.a.values
+    This is the one place that picks a path. When the kernel's factors
+    qualify (see kernel_factor_values) and no coefficient is None, entry
+    i is sum_k f* phi_k(t*) R_k[i][j*], where R_k holds per-row prefix
+    sums of coefficient * psi_k, built as the rows arrive: O(n1 * n2 * r)
+    factor calls and O(n1^2 * n2 * r) arithmetic over the grid. Every
+    factor is nonnegative, so the kernel flag stays true. Otherwise each
+    target pays for its own double sum, O(n1^2 * n2^2) kernel calls over
+    the grid, and the first negative value read clears
+    hyp["kernel_nonnegative"]. Both give the same values (exactly, in
+    exact mode), flags and errors.
+    """
     zero_value = zero(sc.mode)
+    factors = None
+    if all(c is not None for row in coefficients for c in row):
+        factors = kernel_factor_values(sc, skip_zero_f)
+    if factors is not None:
+        phi_at, psi_at = factors
+        prefix = []
 
-    def generator(i_star, j_star, f_star):
+        def separable(i_star, j_star, f_star):
+            while len(prefix) < i_star:
+                i = len(prefix)
+                acc = [zero_value] * len(sc.kernel_terms)
+                row = [tuple(acc)]
+                for c, psi_values in zip(coefficients[i], psi_at[i]):
+                    for k, v in enumerate(psi_values):
+                        acc[k] += c * v
+                    row.append(tuple(acc))
+                prefix.append(row)
+            phis = phi_at[i_star][j_star]
+            if phis is None:
+                return [f_star * zero_value] * i_star
+            scaled = [f_star * phi for phi in phis]
+            return [
+                sum((c * r for c, r in zip(scaled, prefix[i][j_star])), zero_value)
+                for i in range(i_star)
+            ]
+
+        return separable
+
+    pts1, pts2 = sc.ts1.points, sc.ts2.points
+
+    def direct(i_star, j_star, f_star):
         t1s, t2s = pts1[i_star], pts2[j_star]
+        sources2 = pts2[:j_star]
         gen = []
-        for i in range(i_star):
+        for s1, row in zip(pts1[:i_star], coefficients):
             s = zero_value
-            for jj in range(j_star):
-                g_val = kernel_value(sc, t1s, t2s, pts1[i], pts2[jj])
+            for c, s2 in zip(row, sources2):
+                g_val = kernel_value(sc, t1s, t2s, s1, s2)
                 if g_val < 0:
                     hyp["kernel_nonnegative"] = False
-                if expo:
-                    g_val = _weighted_a_power(sc, g_val, a[i][jj], expo)
-                s += weights[jj] * g_val
+                if c is not None:
+                    s += c * g_val
+                elif g_val != 0:
+                    raise NonPositiveA(_NEEDS_POSITIVE_A)
             gen.append(f_star * s)
         return gen
 
-    return generator
-
-
-def _separable_generator(sc: BoundScenario, weights, expo, skip_zero_f):
-    """generator(i*, j*, f*) from the kernel's separable split
-    g = sum_k phi_k * psi_k, or None when the factors do not qualify (see
-    kernel_factor_values). Entry i is sum_k f(t*) phi_k(t*) R_k[i][j*],
-    where R_k holds per-row prefix sums of weight * a**expo * psi_k:
-    O(n1 * n2 * r) factor calls and O(n1^2 * n2 * r) arithmetic over the
-    grid. Every factor is nonnegative, so the kernel flag stays true.
-
-    A negative power of a zero offset raises here at every source, while
-    the direct loop takes it only where the kernel is nonzero; it returns
-    None then too, so the direct loop decides."""
-    factors = kernel_factor_values(sc, skip_zero_f)
-    if factors is None:
-        return None
-    phi_at, psi_at = factors
-    a = sc.a.values
-    zero_value = zero(sc.mode)
-    try:
-        prefix = [
-            _psi_prefix_row(
-                psi_row,
-                [w * scalar_pow(a[i][jj], expo, sc.mode) for jj, w in enumerate(weights)]
-                if expo else weights,
-                zero_value,
-            )
-            for i, psi_row in enumerate(psi_at)
-        ]
-    except (TsgronwallError, ArithmeticError):
-        return None
-
-    def generator(i_star, j_star, f_star):
-        phis = phi_at[i_star][j_star]
-        if phis is None:
-            return [f_star * zero_value] * i_star
-        coefficients = [f_star * phi for phi in phis]
-        return [
-            sum((c * r for c, r in zip(coefficients, prefix[i][j_star])), zero_value)
-            for i in range(i_star)
-        ]
-
-    return generator
+    return direct
 
 
 def _kernel_bound_values(sc: BoundScenario, hyp, weights, expo, product, outer, skip_zero_f):
@@ -394,22 +394,28 @@ def _kernel_bound_values(sc: BoundScenario, hyp, weights, expo, product, outer, 
     At each target (t1*, t2*) the kernel's leading arguments are frozen.
     The generator along the first axis holds, for every row i below the
     target, f(t*) times the weighted sum over the sources jj < j* of
-    g(t*; s) * a(s)**expo (expo falsy: no offset weight). `product(i*,
-    gen)` is the exponential and `outer(a(t*), e)` the bound.
-    With `skip_zero_f` the targets where f(t*) = 0 get a zero generator
-    and their kernel values are never read, so they cannot clear the
-    kernel_nonnegative flag this sets in `hyp`.
-
-    A scenario with kernel_terms takes the separable prefix-sum path when
-    its factors qualify, and otherwise the direct double sum; both give
-    the same values (exactly, in exact mode), flags and errors.
+    g(t*; s) * a(s)**expo (expo falsy: no offset weight), read from
+    kernel_generator with the coefficients weights[jj] * a(s)**expo,
+    formed once per source. `product(i*, gen)` is the exponential and
+    `outer(a(t*), e)` the bound. With `skip_zero_f` the targets where
+    f(t*) = 0 get a zero generator and their kernel values are never
+    read, so they cannot clear the kernel_nonnegative flag this sets in
+    `hyp`.
     """
     n1, n2 = sc.a.shape
     a, f = sc.a.values, sc.f.values
     hyp["kernel_nonnegative"] = True
-    generator = _separable_generator(sc, weights, expo, skip_zero_f)
-    if generator is None:
-        generator = _direct_generator(sc, weights, expo, hyp)
+    if expo:
+        coefficients = [
+            [
+                None if a[i][jj] <= 0 else w * scalar_pow(a[i][jj], expo, sc.mode)
+                for jj, w in enumerate(weights)
+            ]
+            for i in range(n1 - 1)
+        ]
+    else:
+        coefficients = [weights] * (n1 - 1)
+    generator = kernel_generator(sc, coefficients, skip_zero_f, hyp)
     zero_value = zero(sc.mode)
     out = [[None] * n2 for _ in range(n1)]
     for i_star in range(n1):

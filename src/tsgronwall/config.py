@@ -31,7 +31,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -134,9 +134,7 @@ def _grid_from_table(table: dict, ts1: TimeScale, ts2: TimeScale, mode: Mode) ->
             for j, p2 in enumerate(points2):
                 ts2.index(p2)
                 cells[(p1, p2)] = parse_scalar(rows[i][j], mode)
-    except TsgronwallError as exc:
-        raise ConfigError(f"bad table: {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (TsgronwallError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad table: {exc}") from exc
     default = zero(mode)
     return GridFunction2.from_callable(
@@ -252,7 +250,12 @@ def report_to_json(report: BoundReport, oracle: Optional[OracleResult] = None) -
 
 
 def summary_to_json(summary: CampaignSummary) -> dict:
-    return summary.to_jsonable()
+    """The summary's fields, with a worst margin through scalar_to_json
+    and None (no cases) as null."""
+    doc = asdict(summary)
+    if summary.worst_margin is not None:
+        doc["worst_margin"] = scalar_to_json(summary.worst_margin)
+    return doc
 
 
 def matrix_to_csv(points1, points2, values) -> str:

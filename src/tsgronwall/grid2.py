@@ -90,9 +90,6 @@ class GridFunction2:
     def shape(self) -> tuple[int, int]:
         return (len(self.ts1.points), len(self.ts2.points))
 
-    def at(self, i: int, j: int) -> Scalar:
-        return self.values[i][j]
-
     def value(self, t1, t2) -> Scalar:
         return self.values[self.ts1.index(t1)][self.ts2.index(t2)]
 

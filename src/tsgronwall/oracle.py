@@ -7,8 +7,9 @@ falls out of a single sweep over the grid. A bound that dominates the
 equality case dominates every admissible function, which turns a
 universally quantified claim into one comparison per grid point.
 
-The kernel equality case reads the separable kernel's factor tables
-from bounds.kernel_factor_values, the same tables the kernel bounds read.
+The kernel equality case has no kernel sum of its own: it reads
+bounds.kernel_generator, the same sum the kernel bounds read, with the
+coefficients mu1 * mu2 * u**q of the rows it has solved.
 
 Campaigns draw reproducible random scenarios from one builder (rationals
 with numerators 0..9 and denominators 1..9; nondecreasing grids built as
@@ -31,19 +32,17 @@ from typing import Optional
 from .bounds import (
     BoundReport,
     BoundScenario,
-    _psi_prefix_row,
+    _best_linear_of,
     _require_exact_power,
-    best_linear_bound,
     compute_bound,
-    kernel_factor_values,
-    kernel_value,
+    kernel_generator,
     thm1_bound_in2,
     thm1_bound_in6,
     thm4_bound,
 )
 from .errors import GridMismatch, NonPositiveA, NotDiscrete
 from .grid2 import GridFunction2, sweep2
-from .numeric import Mode, Scalar, format_scalar, scalar_pow, zero
+from .numeric import Mode, Scalar, scalar_pow, zero
 from .timescale import TimeScale
 
 REL_TOL = 1e-9
@@ -119,12 +118,9 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     sit strictly below them, so the recursion stays closed. Exact mode
     follows the same p = q powered convention as equality_case_power.
 
-    With a direct kernel each target pays for its own double sum,
-    O(n1^2 * n2^2) kernel calls. A scenario whose kernel_terms qualify
-    (see bounds.kernel_factor_values) instead carries the running sums
-    P_k of mu1 * mu2 * psi_k * u**q through the sweep and reads
-    sum_k phi_k(t) * P_k at each target: O(n1 * n2 * r), the same values
-    (exactly, in exact mode) and errors.
+    Each solved row adds the coefficients mu1 * mu2 * u**q of its sources
+    to bounds.kernel_generator, which reads them at the targets above and
+    picks the separable or the direct path, as for the kernel bounds.
     """
     if sc.kernel is None:
         raise ValueError("kernel recursion needs a kernel")
@@ -136,45 +132,22 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     _require_exact_power(sc, "kernel recursion")
     exact = sc.mode is Mode.EXACT
     n1, n2 = sc.a.shape
-    factors = kernel_factor_values(sc, False)
-    pts1, pts2 = sc.ts1.points, sc.ts2.points
     mu1 = sc.ts1.graininesses()
     mu2 = sc.ts2.graininesses()
     a, f = sc.a.values, sc.f.values
     zero_value = zero(sc.mode)
-    u = [[None] * n2 for _ in range(n1)]
-    u_q = [[None] * n2 for _ in range(n1)]
-    if factors is not None:
-        phi_at, psi_at = factors
-        # below[j][k]: sum over ii < i, jj < j of mu1 mu2 psi_k u**q
-        below = [(zero_value,) * len(sc.kernel_terms)] * n2
+    coefficients = []
+    generator = kernel_generator(sc, coefficients, False, {})
+    u = []
     for i in range(n1):
+        u_row = []
         for j in range(n2):
-            s = zero_value
-            if factors is None:
-                t1, t2 = pts1[i], pts2[j]
-                for ii in range(i):
-                    for jj in range(j):
-                        s += (
-                            mu1[ii] * mu2[jj]
-                            * kernel_value(sc, t1, t2, pts1[ii], pts2[jj])
-                            * u_q[ii][jj]
-                        )
-            elif i and j:
-                for phi, p_k in zip(phi_at[i][j], below[j]):
-                    s += phi * p_k
-            rhs = a[i][j] + f[i][j] * s
-            if exact:
-                u[i][j] = rhs
-                u_q[i][j] = rhs
-            else:
-                u[i][j] = scalar_pow(rhs, 1.0 / sc.p, Mode.FLOAT)
-                u_q[i][j] = scalar_pow(u[i][j], sc.q, Mode.FLOAT)
-        if factors is not None and i + 1 < n1:
-            row = _psi_prefix_row(
-                psi_at[i], [mu1[i] * mu2[jj] * u_q[i][jj] for jj in range(n2 - 1)], zero_value
-            )
-            below = [tuple(x + y for x, y in zip(b, r)) for b, r in zip(below, row)]
+            rhs = a[i][j] + sum(generator(i, j, f[i][j]), zero_value)
+            u_row.append(rhs if exact else scalar_pow(rhs, 1.0 / sc.p, Mode.FLOAT))
+        u.append(u_row)
+        if i + 1 < n1:
+            u_q = u_row if exact else [scalar_pow(v, sc.q, Mode.FLOAT) for v in u_row]
+            coefficients.append([mu1[i] * w * v for w, v in zip(mu2, u_q)])
     return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
 
 
@@ -373,21 +346,6 @@ class CampaignSummary:
     attained_count: int
     seed: int
 
-    def to_jsonable(self) -> dict:
-        worst = self.worst_margin
-        if isinstance(worst, Fraction) or (
-            isinstance(worst, float) and not math.isfinite(worst)
-        ):
-            worst = format_scalar(worst)
-        return {
-            "theorem": self.theorem,
-            "cases": self.cases,
-            "failures": self.failures,
-            "worst_margin": worst,
-            "attained_count": self.attained_count,
-            "seed": self.seed,
-        }
-
 
 # Campaign theorem past thm1 -> (power pairs, cycled over the cases and
 # exact when p = q, and the scenario builder).
@@ -407,7 +365,8 @@ def _run_case(theorem: str, rng: random.Random, case_index: int, max_window: int
     if theorem == "thm1":
         sc = random_linear_scenario(rng, max_window)
         u = equality_case_linear(sc)
-        reports = [thm1_bound_in2(sc), thm1_bound_in6(sc), best_linear_bound(sc)]
+        reports = [thm1_bound_in2(sc), thm1_bound_in6(sc)]
+        reports.append(_best_linear_of(sc, *reports))
         results = [check_domination(u, rep) for rep in reports]
         return all(r.dominated for r in results), results
     pairs, build = _CAMPAIGN_CASES[theorem]

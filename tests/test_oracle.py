@@ -16,6 +16,7 @@ from tsgronwall.bounds import (
     thm3_bound,
 )
 from tsgronwall.cli import example31_scenario
+from tsgronwall.config import summary_to_json
 from tsgronwall.errors import GridMismatch, ModeRequired, NonPositiveA, NotDiscrete
 from tsgronwall.grid2 import GridFunction2
 from tsgronwall.numeric import Mode
@@ -180,7 +181,7 @@ def test_non_finite_float_margins_fail_domination():
         assert worst == -inf
         assert attained == []
     summary = CampaignSummary("thm2", 1, 1, -inf, 0, 0)
-    assert summary.to_jsonable()["worst_margin"] == "-inf"
+    assert summary_to_json(summary)["worst_margin"] == "-inf"
 
 
 def test_check_domination_rejects_mismatched_grids():
@@ -252,7 +253,7 @@ def test_campaign_rejects_unknown_theorem():
 def test_campaign_is_reproducible():
     first = run_campaign("thm1", 5, seed=42, max_window=6)
     second = run_campaign("thm1", 5, seed=42, max_window=6)
-    assert first.to_jsonable() == second.to_jsonable()
+    assert summary_to_json(first) == summary_to_json(second)
 
 
 # Recorded run_campaign(theorem, 8, seed, max_window=8) summaries: the
@@ -275,7 +276,7 @@ RECORDED_SUMMARIES = {
 @pytest.mark.parametrize("theorem,seed", sorted(RECORDED_SUMMARIES))
 def test_campaign_summaries_match_the_recorded_draws(theorem, seed):
     worst, attained = RECORDED_SUMMARIES[theorem, seed]
-    assert run_campaign(theorem, 8, seed, max_window=8).to_jsonable() == {
+    assert summary_to_json(run_campaign(theorem, 8, seed, max_window=8)) == {
         "theorem": theorem,
         "cases": 8,
         "failures": 0,

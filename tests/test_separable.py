@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
+from kernel_reference import reference_equality_case_kernel
 from tsgronwall import config
 from tsgronwall.bounds import BoundScenario, compute_bound
-from tsgronwall.errors import DivisionByZero
+from tsgronwall.errors import DivisionByZero, NonPositiveA
 from tsgronwall.exprlang import MAX_TERMS, compile_separable, parse, separate, to_source
 from tsgronwall.numeric import Mode
 from tsgronwall.oracle import equality_case_kernel, random_kernel_scenario
@@ -164,14 +165,20 @@ def test_a_factor_error_falls_back_to_the_direct_error():
         assert isinstance(error, DivisionByZero) and calls
 
 
-def test_a_negative_power_of_a_zero_offset_falls_back():
-    # a vanishes on both axes, where tau*xi does too: the direct path
-    # never takes the negative power of a zero, so the report stands.
-    sc = load("thm4", "float", "tau*xi", F_GRIDS["positive"], "2", "1", a="t1*t2")
+@pytest.mark.parametrize("kernel_g,error_type", [("tau*xi", None), ("1 + tau*xi", NonPositiveA)])
+def test_a_negative_power_of_a_zero_offset_falls_back(kernel_g, error_type):
+    # a vanishes on both axes. Where the kernel vanishes too (tau*xi), the
+    # direct path never takes the negative power of a zero, so the report
+    # stands; where it does not, the direct path raises.
+    sc = load("thm4", "float", kernel_g, F_GRIDS["positive"], "2", "1", a="t1*t2")
     fast, direct, error, calls = run_both(lambda s: compute_bound("thm4", s), sc)
-    assert error is None and calls
-    assert fast.hypotheses == direct.hypotheses
-    assert_values_match(fast.values, direct.values, sc.mode)
+    assert calls
+    if error_type is None:
+        assert error is None
+        assert fast.hypotheses == direct.hypotheses
+        assert_values_match(fast.values, direct.values, sc.mode)
+    else:
+        assert isinstance(error, error_type) and "negative power" in str(error)
 
 
 @pytest.mark.parametrize("theorem,flag", [("thm2", False), ("thm4", True), ("cor31", True)])
@@ -248,3 +255,42 @@ def test_python_kernels_keep_the_direct_path():
     assert sc.kernel_terms is None
     plain = BoundScenario(a=sc.a, f=sc.f, kernel=lambda t1, t2, s1, s2: s1 * s2)
     assert plain.kernel_terms is None
+
+
+def _python_kernel(t1, t2, s1, s2):
+    return (t1 + 1) * s2 / 8 + s1 * t2 / 16 + t1 * t2 * s1 * s2 / 64
+
+
+# name -> target-dependent kernel: an expression that splits, one that
+# does not, or a Python callable (which has no split).
+REFERENCE_KERNELS = {
+    "separable": "(1 + t*s/8)*(1/2 + tau*xi/16) + t*xi/32",
+    "non-separable": "max(t - tau, s*xi/4) + 1/8",
+    "python": _python_kernel,
+}
+
+
+@pytest.mark.parametrize("theorem,mode,p,q", [
+    ("thm2", "exact", "1", "1"),
+    ("thm2", "float", "1", "1"),
+    ("thm4", "exact", "2", "2"),
+    ("thm4", "float", "2", "1"),
+    ("cor31", "exact", "1", "1"),
+    ("cor31", "float", "3", "2"),
+])
+@pytest.mark.parametrize("name", sorted(REFERENCE_KERNELS))
+@pytest.mark.parametrize("f_name", sorted(F_GRIDS))
+def test_equality_case_matches_the_brute_force_reference(theorem, mode, p, q, name, f_name):
+    kernel = REFERENCE_KERNELS[name]
+    if callable(kernel):
+        sc = load(theorem, mode, "1", F_GRIDS[f_name], p, q)
+        sc = dataclasses.replace(sc, kernel=kernel, kernel_terms=None)
+    else:
+        sc = load(theorem, mode, kernel, F_GRIDS[f_name], p, q)
+        assert (sc.kernel_terms is not None) == (name == "separable")
+    solved = equality_case_kernel(sc).values
+    reference = reference_equality_case_kernel(sc)
+    if sc.mode is Mode.EXACT:
+        assert solved == tuple(tuple(row) for row in reference)
+    else:
+        assert_values_match(solved, reference, sc.mode)
