@@ -29,6 +29,9 @@ When p = q > 1 the bound itself, a**(1/p) * e**(1/p), is irrational, so
 exact reports carry (a * e), the p-th power of the bound, flagged
 ``powered``; comparisons against the matching powered oracle stay exact
 because x -> x**p is increasing on the nonnegative axis.
+BoundScenario.root and BoundScenario.q_power are the only statement of
+this convention: the power bounds and the oracle's equality cases both
+take their roots and q-th powers from them.
 """
 
 from __future__ import annotations
@@ -95,14 +98,19 @@ class BoundScenario:
     def mode(self) -> Mode:
         return self.a.mode
 
-    @property
-    def approximate(self) -> bool:
-        return self.ts1.approximate or self.ts2.approximate
-
     def power_exponent(self) -> Scalar:
         """q/p - 1, the exponent the power bounds apply to a inside the
         generator."""
         return self.q / self.p - 1
+
+    def root(self, x: Scalar) -> Scalar:
+        """x**(1/p); exact mode stores p-th powers, so there it is x."""
+        return x if self.mode is Mode.EXACT else scalar_pow(x, 1.0 / self.p, Mode.FLOAT)
+
+    def q_power(self, u: Scalar) -> Scalar:
+        """u**q for a value of the unknown as stored: exact mode stores
+        u**p, which is u**q because exact power bounds need p = q."""
+        return u if self.mode is Mode.EXACT else scalar_pow(u, self.q, Mode.FLOAT)
 
 
 def kernel_value(sc: BoundScenario, t1, t2, s1, s2) -> Scalar:
@@ -120,24 +128,37 @@ def kernel_value(sc: BoundScenario, t1, t2, s1, s2) -> Scalar:
 @dataclass
 class BoundReport:
     """One bound on one scenario: the per-point majorant plus the scanned
-    hypothesis flags. ``certified`` means every flag came back true;
-    ``approximate`` marks sampled windows; ``powered`` marks exact power
-    bounds stored as p-th powers."""
+    hypothesis flags. ``power`` is p for the power bounds, else 1; the
+    ``mode``, ``approximate`` (sampled windows) and ``powered`` (exact
+    power bounds, stored as p-th powers) are read off windows and power."""
 
     theorem: str
-    mode: Mode
     ts1: TimeScale
     ts2: TimeScale
     values: tuple[tuple[Scalar, ...], ...]
     hypotheses: dict[str, bool]
-    approximate: bool
-    powered: bool = False
     power: Scalar = 1
     sharpness: Optional[tuple[tuple[str, ...], ...]] = None
 
     @property
+    def mode(self) -> Mode:
+        return self.ts1.mode
+
+    @property
+    def approximate(self) -> bool:
+        return self.ts1.approximate or self.ts2.approximate
+
+    @property
+    def powered(self) -> bool:
+        return self.mode is Mode.EXACT and self.power != 1
+
+    @property
     def certified(self) -> bool:
-        return all(self.hypotheses.values())
+        """Every flag came back true and, in float mode, every value is
+        finite: an overflowed bound certifies nothing."""
+        return all(self.hypotheses.values()) and (
+            self.mode is Mode.EXACT or all(math.isfinite(v) for row in self.values for v in row)
+        )
 
     def value(self, t1, t2) -> Scalar:
         return self.values[self.ts1.index(t1)][self.ts2.index(t2)]
@@ -161,10 +182,8 @@ def _hypotheses(sc: BoundScenario, *, f_monotone=False, a_positive=False) -> dic
 def _require_a_not_negative(sc: BoundScenario) -> None:
     # a < 0 is unrecoverable for the power bounds (roots leave the reals);
     # a == 0 only clears the positivity flag and is handled pointwise.
-    for row in sc.a.values:
-        for v in row:
-            if v < 0:
-                raise NonPositiveA("offset grid has negative entries")
+    if any(v < 0 for row in sc.a.values for v in row):
+        raise NonPositiveA("offset grid has negative entries")
 
 
 def _require_exact_power(sc: BoundScenario, computation: str) -> None:
@@ -189,14 +208,6 @@ def _weighted_a_power(sc: BoundScenario, weight, a_value, expo) -> Scalar:
     if a_value <= 0:
         raise NonPositiveA(_NEEDS_POSITIVE_A)
     return weight * scalar_pow(a_value, expo, sc.mode)
-
-
-def _outer_value(sc: BoundScenario, a_value, exp_value) -> Scalar:
-    """a**(1/p) * e**(1/p), or the p-th power (a * e) in exact mode."""
-    if sc.mode is Mode.EXACT:
-        return a_value * exp_value
-    inv_p = 1.0 / sc.p
-    return scalar_pow(a_value, inv_p, Mode.FLOAT) * scalar_pow(exp_value, inv_p, Mode.FLOAT)
 
 
 def _linear_core(ts: TimeScale, mu_other, weight, outer):
@@ -228,9 +239,7 @@ def thm1_bound_in2(sc: BoundScenario) -> BoundReport:
         lambda i, j: f[i][j],
         lambda i, j, e: a[i][j] * e,
     )
-    return BoundReport(
-        "thm1-in2", sc.mode, sc.ts1, sc.ts2, tuple(zip(*columns)), hyp, sc.approximate,
-    )
+    return BoundReport("thm1-in2", sc.ts1, sc.ts2, tuple(zip(*columns)), hyp)
 
 
 def thm1_bound_in6(sc: BoundScenario) -> BoundReport:
@@ -244,7 +253,7 @@ def thm1_bound_in6(sc: BoundScenario) -> BoundReport:
         lambda j, i: f[i][j],
         lambda j, i, e: a[i][j] * e,
     )
-    return BoundReport("thm1-in6", sc.mode, sc.ts1, sc.ts2, tuple(rows), hyp, sc.approximate)
+    return BoundReport("thm1-in6", sc.ts1, sc.ts2, tuple(rows), hyp)
 
 
 def best_linear_bound(sc: BoundScenario) -> BoundReport:
@@ -275,8 +284,7 @@ def _best_linear_of(sc: BoundScenario, r2: BoundReport, r6: BoundReport) -> Boun
         values.append(tuple(vrow))
         sharpness.append(tuple(srow))
     return BoundReport(
-        "best-linear", sc.mode, sc.ts1, sc.ts2,
-        tuple(values), r2.hypotheses, sc.approximate,
+        "best-linear", sc.ts1, sc.ts2, tuple(values), r2.hypotheses,
         sharpness=tuple(sharpness),
     )
 
@@ -443,7 +451,7 @@ def thm2_bound(sc: BoundScenario) -> BoundReport:
         lambda a_value, e: a_value * e,
         skip_zero_f=False,
     )
-    return BoundReport("thm2", sc.mode, sc.ts1, sc.ts2, values, hyp, sc.approximate)
+    return BoundReport("thm2", sc.ts1, sc.ts2, values, hyp)
 
 
 def thm3_bound(sc: BoundScenario) -> BoundReport:
@@ -457,13 +465,9 @@ def thm3_bound(sc: BoundScenario) -> BoundReport:
     columns = _linear_core(
         sc.ts1, sc.ts2.graininesses(),
         lambda i, j: _weighted_a_power(sc, f[i][j], a[i][j], expo),
-        lambda i, j, e: _outer_value(sc, a[i][j], e),
+        lambda i, j, e: sc.root(a[i][j]) * sc.root(e),
     )
-    powered = sc.mode is Mode.EXACT and sc.p != 1
-    return BoundReport(
-        "thm3", sc.mode, sc.ts1, sc.ts2, tuple(zip(*columns)), hyp, sc.approximate,
-        powered=powered, power=sc.p,
-    )
+    return BoundReport("thm3", sc.ts1, sc.ts2, tuple(zip(*columns)), hyp, power=sc.p)
 
 
 def _power_kernel_bound(sc: BoundScenario, theorem, weights, product) -> BoundReport:
@@ -477,14 +481,10 @@ def _power_kernel_bound(sc: BoundScenario, theorem, weights, product) -> BoundRe
     hyp = _hypotheses(sc, f_monotone=True, a_positive=True)
     values = _kernel_bound_values(
         sc, hyp, weights, expo, product,
-        lambda a_value, e: _outer_value(sc, a_value, e),
+        lambda a_value, e: sc.root(a_value) * sc.root(e),
         skip_zero_f=True,
     )
-    powered = sc.mode is Mode.EXACT and sc.p != 1
-    return BoundReport(
-        theorem, sc.mode, sc.ts1, sc.ts2, values, hyp, sc.approximate,
-        powered=powered, power=sc.p,
-    )
+    return BoundReport(theorem, sc.ts1, sc.ts2, values, hyp, power=sc.p)
 
 
 def thm4_bound(sc: BoundScenario) -> BoundReport:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .grid2 import GridFunction2, sweep2
 from .numeric import Mode, Scalar, require_mode
-from .oracle import OracleResult, domination_summary
+from .oracle import OracleResult, _compare
 from .timescale import TimeScale
 
 _HYP_SLACK = 1e-12
@@ -134,10 +134,5 @@ def check_estimate(prob: IbvpProblem) -> OracleResult:
             raise HypothesisViolated(
                 f"F({s1}, {s2}, {u_val}) = {f_val} is outside [0, t2*u]"
             )
-    estimate = estimate_in7(prob)
-    dominated, worst, attained_idx = domination_summary(
-        rows, estimate.values, Mode.FLOAT, exclude={(0, 0)}
-    )
     solution = GridFunction2.from_rows(prob.ts1, prob.ts2, rows)
-    points = [(prob.ts1.points[i], prob.ts2.points[j]) for i, j in attained_idx]
-    return OracleResult(solution, dominated, worst, points, estimate.values)
+    return _compare(solution, estimate_in7(prob).values, Mode.FLOAT, exclude={(0, 0)})

@@ -9,7 +9,10 @@ universally quantified claim into one comparison per grid point.
 
 The kernel equality case has no kernel sum of its own: it reads
 bounds.kernel_generator, the same sum the kernel bounds read, with the
-coefficients mu1 * mu2 * u**q of the rows it has solved.
+coefficients mu1 * mu2 * u**q of the rows it has solved. The power and
+kernel equality cases take their roots and q-th powers from
+BoundScenario.root and BoundScenario.q_power, the owners of the exact
+mode convention (p-th powers stored) that the power bounds follow too.
 
 Campaigns draw reproducible random scenarios from one builder (rationals
 with numerators 0..9 and denominators 1..9; nondecreasing grids built as
@@ -33,6 +36,7 @@ from .bounds import (
     BoundReport,
     BoundScenario,
     _best_linear_of,
+    _require_a_not_negative,
     _require_exact_power,
     compute_bound,
     kernel_generator,
@@ -42,7 +46,7 @@ from .bounds import (
 )
 from .errors import GridMismatch, NonPositiveA, NotDiscrete
 from .grid2 import GridFunction2, sweep2
-from .numeric import Mode, Scalar, scalar_pow, zero
+from .numeric import Mode, Scalar, zero
 from .timescale import TimeScale
 
 REL_TOL = 1e-9
@@ -70,44 +74,43 @@ def _require_discrete(sc: BoundScenario) -> None:
         raise NotDiscrete("equality-case recursions need discrete windows")
 
 
-def equality_case_linear(sc: BoundScenario) -> GridFunction2:
-    """Largest solution of u = a + (double integral of f*u), computed by
-    one lexicographic sweep: the integral reads u only at indices smaller
-    in both axes. Exact in exact mode."""
-    _require_discrete(sc)
+def _equality_sweep(sc: BoundScenario, root, q_power) -> GridFunction2:
+    """The sweep behind the linear and power equality cases: u = root(a +
+    double integral of f * q_power(u)), one lexicographic pass, since the
+    integral reads u only at indices smaller in both axes."""
     a, f = sc.a.values, sc.f.values
     u = sweep2(
         sc.ts1.graininesses(), sc.ts2.graininesses(), zero(sc.mode),
-        lambda i, j, w, u_ij: w * f[i][j] * u_ij,
-        lambda i, j, s: a[i][j] + s,
+        lambda i, j, w, u_ij: w * f[i][j] * q_power(u_ij),
+        lambda i, j, s: root(a[i][j] + s),
     )
     return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
+
+
+def _identity(x):
+    return x
+
+
+def equality_case_linear(sc: BoundScenario) -> GridFunction2:
+    """Largest solution of u = a + (double integral of f*u); p and q are
+    not read. Exact in exact mode."""
+    _require_discrete(sc)
+    return _equality_sweep(sc, _identity, _identity)
 
 
 def equality_case_power(sc: BoundScenario) -> GridFunction2:
     """Largest solution of u**p = a + (double integral of f * u**q).
 
-    Float mode runs the recursion directly. Exact mode needs p = q, and
-    then the returned grid holds the p-th powers u**p, which satisfy a
-    linear recursion; this matches the powered values exact power bounds
-    report, so domination checks compare like with like.
+    Exact mode needs p = q, and then the returned grid holds the p-th
+    powers u**p (see BoundScenario.root and q_power), matching the
+    powered values exact power bounds report, so domination checks
+    compare like with like.
     """
     _require_discrete(sc)
-    for row in sc.a.values:
-        for v in row:
-            if v <= 0:
-                raise NonPositiveA("power recursion needs a positive offset grid")
-    if sc.mode is Mode.EXACT:
-        _require_exact_power(sc, "power recursion")
-        return equality_case_linear(sc)
-    a, f = sc.a.values, sc.f.values
-    inv_p = 1.0 / sc.p
-    u = sweep2(
-        sc.ts1.graininesses(), sc.ts2.graininesses(), 0.0,
-        lambda i, j, w, u_ij: w * f[i][j] * scalar_pow(u_ij, sc.q, Mode.FLOAT),
-        lambda i, j, s: scalar_pow(a[i][j] + s, inv_p, Mode.FLOAT),
-    )
-    return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
+    if any(v <= 0 for row in sc.a.values for v in row):
+        raise NonPositiveA("power recursion needs a positive offset grid")
+    _require_exact_power(sc, "power recursion")
+    return _equality_sweep(sc, sc.root, sc.q_power)
 
 
 def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
@@ -116,7 +119,8 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
 
     The kernel is pinned at the target indices while the summed values
     sit strictly below them, so the recursion stays closed. Exact mode
-    follows the same p = q powered convention as equality_case_power.
+    follows the same p = q powered convention as equality_case_power,
+    through BoundScenario.root and q_power.
 
     Each solved row adds the coefficients mu1 * mu2 * u**q of its sources
     to bounds.kernel_generator, which reads them at the targets above and
@@ -125,29 +129,20 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     if sc.kernel is None:
         raise ValueError("kernel recursion needs a kernel")
     _require_discrete(sc)
-    for row in sc.a.values:
-        for v in row:
-            if v < 0:
-                raise NonPositiveA("kernel recursion needs a nonnegative offset grid")
+    _require_a_not_negative(sc)
     _require_exact_power(sc, "kernel recursion")
-    exact = sc.mode is Mode.EXACT
     n1, n2 = sc.a.shape
-    mu1 = sc.ts1.graininesses()
-    mu2 = sc.ts2.graininesses()
+    mu1, mu2 = sc.ts1.graininesses(), sc.ts2.graininesses()
     a, f = sc.a.values, sc.f.values
     zero_value = zero(sc.mode)
     coefficients = []
     generator = kernel_generator(sc, coefficients, False, {})
     u = []
     for i in range(n1):
-        u_row = []
-        for j in range(n2):
-            rhs = a[i][j] + sum(generator(i, j, f[i][j]), zero_value)
-            u_row.append(rhs if exact else scalar_pow(rhs, 1.0 / sc.p, Mode.FLOAT))
+        u_row = [sc.root(a[i][j] + sum(generator(i, j, f[i][j]), zero_value)) for j in range(n2)]
         u.append(u_row)
         if i + 1 < n1:
-            u_q = u_row if exact else [scalar_pow(v, sc.q, Mode.FLOAT) for v in u_row]
-            coefficients.append([mu1[i] * w * v for w, v in zip(mu2, u_q)])
+            coefficients.append([mu1[i] * w * sc.q_power(v) for w, v in zip(mu2, u_row)])
     return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
 
 
@@ -198,21 +193,24 @@ def domination_summary(u_values, bound_values, mode: Mode, exclude=frozenset()):
     return dominated, worst, attained
 
 
+def _compare(u: GridFunction2, bound_values, mode: Mode, exclude=frozenset()) -> OracleResult:
+    """domination_summary of u against bound_values, as an OracleResult."""
+    dominated, worst, attained_idx = domination_summary(u.values, bound_values, mode, exclude)
+    points = [(u.ts1.points[i], u.ts2.points[j]) for i, j in attained_idx]
+    return OracleResult(u, dominated, worst, points, bound_values)
+
+
 def check_domination(u: GridFunction2, report: BoundReport) -> OracleResult:
     """Compare a premise solution against one bound report.
 
     Powered reports (exact power bounds with p > 1) must be paired with
     the powered solution grid the exact recursions return; both sides
-    then carry p-th powers and the comparison is equivalent because
-    x -> x**p is increasing on the nonnegative axis.
+    then carry p-th powers (BoundScenario.root and q_power), and x -> x**p
+    is increasing on the nonnegative axis.
     """
     if u.ts1 != report.ts1 or u.ts2 != report.ts2:
         raise GridMismatch("solution and report do not share the same windows")
-    dominated, worst, attained_idx = domination_summary(
-        u.values, report.values, report.mode
-    )
-    points = [(u.ts1.points[i], u.ts2.points[j]) for i, j in attained_idx]
-    return OracleResult(u, dominated, worst, points, report.values)
+    return _compare(u, report.values, report.mode)
 
 
 # -- reproducible random scenarios ------------------------------------

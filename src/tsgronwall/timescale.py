@@ -14,6 +14,7 @@ maximum is simply never right of anything inside the window.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -30,6 +31,19 @@ INTEGERS = "integers"
 QSCALE = "qscale"
 SEQUENCE = "sequence"
 SAMPLE = "sample"
+
+# Most points one window axis may hold. Every constructor checks it
+# before it builds a point, so a config asking for more fails at once.
+MAX_WINDOW_POINTS = 10_000
+
+
+def _window_size(count):
+    if not count <= MAX_WINDOW_POINTS:
+        raise ValueError(
+            f"a window asks for {count} points; MAX_WINDOW_POINTS allows "
+            f"{MAX_WINDOW_POINTS} per axis"
+        )
+    return count
 
 
 @dataclass(frozen=True)
@@ -49,12 +63,13 @@ class TimeScale:
     def __post_init__(self):
         if len(self.points) < 2:
             raise ValueError("a scale window needs at least two points")
-        for left, right in zip(self.points, self.points[1:]):
-            if not right > left:
-                raise ValueError("window points must be strictly increasing")
+        steps = tuple(right - left for left, right in zip(self.points, self.points[1:]))
+        if not all(mu > 0 for mu in steps):
+            raise ValueError("window points must be strictly increasing")
         for point in self.points:
             require_mode(point, self.mode, "window point")
         object.__setattr__(self, "_index_of", {p: i for i, p in enumerate(self.points)})
+        object.__setattr__(self, "_graininesses", steps)
 
     @classmethod
     def integers(cls, start, stop, step=1, mode: Mode = Mode.EXACT) -> "TimeScale":
@@ -64,15 +79,15 @@ class TimeScale:
         stop_v = to_mode(stop, mode)
         if step_v <= 0:
             raise ValueError("step must be positive")
-        points = []
-        k = 0
-        while True:
-            p = start_v + k * step_v
-            if p > stop_v:
-                break
-            points.append(p)
-            k += 1
-        return cls(INTEGERS, tuple(points), mode)
+        span = (stop_v - start_v) / step_v
+        count = max(math.floor(_window_size(span + 1)), 0)
+        # Float rounding: keep exactly the k with start + k*step <= stop.
+        while count <= MAX_WINDOW_POINTS and start_v + count * step_v <= stop_v:
+            count += 1
+        while count and start_v + (count - 1) * step_v > stop_v:
+            count -= 1
+        points = tuple(start_v + k * step_v for k in range(_window_size(count)))
+        return cls(INTEGERS, points, mode)
 
     @classmethod
     def qscale(cls, q, t0, k_max: int, mode: Mode = Mode.EXACT) -> "TimeScale":
@@ -85,7 +100,7 @@ class TimeScale:
             raise ValueError("t0 must be positive")
         if k_max < 1:
             raise ValueError("k_max must be at least 1 (two points)")
-        points = tuple(t0_v * q_v**k for k in range(k_max + 1))
+        points = tuple(t0_v * q_v**k for k in range(_window_size(k_max + 1)))
         return cls(QSCALE, points, mode)
 
     @classmethod
@@ -97,6 +112,7 @@ class TimeScale:
             raise ValueError("need at least one increment")
         if any(a <= 0 for a in incs):
             raise ValueError("increments must all be positive")
+        _window_size(len(incs) + 1)
         points = [t0_v]
         for a in incs:
             points.append(points[-1] + a)
@@ -115,7 +131,7 @@ class TimeScale:
             raise ValueError("step must be positive")
         if count < 2:
             raise ValueError("need at least two points")
-        points = tuple(left_v + k * step_v for k in range(count))
+        points = tuple(left_v + k * step_v for k in range(_window_size(count)))
         return cls(SAMPLE, points, Mode.FLOAT)
 
     @property
@@ -158,11 +174,11 @@ class TimeScale:
         i = self.index(t)
         if i + 1 == len(self.points):
             raise MaximumPoint("graininess is undefined at the window maximum")
-        return self.points[i + 1] - self.points[i]
+        return self._graininesses[i]
 
     def graininesses(self) -> tuple[Scalar, ...]:
         """Graininess at every window point except the maximum."""
-        return tuple(b - a for a, b in zip(self.points, self.points[1:]))
+        return self._graininesses
 
     def delta_integral(self, f: Callable[[Scalar], Scalar], lower, upper) -> Scalar:
         """Delta integral of f over [lower, upper): the graininess-weighted
@@ -174,23 +190,8 @@ class TimeScale:
         total = zero(self.mode)
         for k in range(i, j):
             v = require_mode(f(self.points[k]), self.mode, "integrand value")
-            total += (self.points[k + 1] - self.points[k]) * v
+            total += self._graininesses[k] * v
         return total
-
-    def _factor(self, k: int, p_value: Scalar) -> Scalar:
-        require_mode(p_value, self.mode, "generator value")
-        factor = 1 + (self.points[k + 1] - self.points[k]) * p_value
-        if factor == 0:
-            raise NotRegressive(f"1 + graininess*p vanishes at t = {self.points[k]}")
-        if factor < 0:
-            warnings.warn(
-                NegativeFactorWarning(
-                    f"1 + graininess*p is negative at t = {self.points[k]}; "
-                    "the generator is not positively regressive"
-                ),
-                stacklevel=3,
-            )
-        return factor
 
     def exp_fn(self, p: Callable[[Scalar], Scalar], t, s) -> Scalar:
         """Scale exponential e_p(t, s): the product over [s, t) of the
@@ -199,10 +200,8 @@ class TimeScale:
         j = self.index(t)
         if i > j:
             raise ValueError("s must not exceed t")
-        acc = one(self.mode)
-        for k in range(i, j):
-            acc = acc * self._factor(k, p(self.points[k]))
-        return acc
+        points = self.points[i:j]
+        return _exp_products(self._graininesses[i:j], map(p, points), self.mode, points)[-1]
 
     def exp_prefix(self, generator_values: Sequence[Scalar]) -> list[Scalar]:
         """Cumulative exponentials from the window start.
@@ -212,35 +211,39 @@ class TimeScale:
         """
         if len(generator_values) > len(self.points) - 1:
             raise ValueError("more generator values than window steps")
-        acc = one(self.mode)
-        out = [acc]
-        for k, v in enumerate(generator_values):
-            acc = acc * self._factor(k, v)
-            out.append(acc)
-        return out
+        return _exp_products(self._graininesses, generator_values, self.mode, self.points)
 
 
 def exp_prefix_from_increments(increments, generator_values, mode: Mode) -> list[Scalar]:
     """Cumulative exponentials straight off an increment sequence.
 
     Entry k is the product over n < k of 1 + increments[n] *
-    generator_values[n]. This is the closed product along a sequence
-    window; it is kept separate from TimeScale.exp_prefix on purpose, so
-    sequence scales can be cross-checked against the literal product.
+    generator_values[n]. It shares TimeScale.exp_prefix's factor loop but
+    reads the increments as given, not the differences of window points,
+    so cor31's cross-check still sets this literal product against thm4's.
     """
     if len(generator_values) > len(increments):
         raise ValueError("more generator values than increments")
+    return _exp_products(increments, generator_values, mode)
+
+
+def _exp_products(steps, values, mode: Mode, points=None) -> list[Scalar]:
+    """[1, f_0, f_0 f_1, ...] for the regressivity factors f_k = 1 +
+    steps[k] * values[k]. `values` is read lazily, one per factor. A
+    vanishing factor raises NotRegressive and a negative one warns,
+    naming points[k] when given, else the step k."""
     acc = one(mode)
     out = [acc]
-    for alpha, v in zip(increments, generator_values):
+    for k, (mu, v) in enumerate(zip(steps, values)):
         require_mode(v, mode, "generator value")
-        factor = 1 + alpha * v
-        if factor == 0:
-            raise NotRegressive("1 + increment*p vanishes")
-        if factor < 0:
-            warnings.warn(
-                NegativeFactorWarning("1 + increment*p is negative"), stacklevel=2
-            )
+        factor = 1 + mu * v
+        if factor <= 0:
+            where = f"t = {points[k]}" if points else f"step {k}"
+            if factor == 0:
+                raise NotRegressive(f"1 + mu*p vanishes at {where}")
+            warnings.warn(NegativeFactorWarning(
+                f"1 + mu*p is negative at {where}; the generator is not positively regressive"
+            ), stacklevel=3)
         acc = acc * factor
         out.append(acc)
     return out

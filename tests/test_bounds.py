@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from conftest import (
     random_discrete_windows,
 )
 from tsgronwall.bounds import (
+    THEOREMS,
     BoundScenario,
     best_linear_bound,
     compute_bound,
@@ -416,3 +418,36 @@ def test_compute_bound_dispatch():
     assert compute_bound("thm1-in2", sc).values == thm1_bound_in2(sc).values
     with pytest.raises(ValueError):
         compute_bound("thm9", sc)
+
+
+POWER_SELECTORS = ("thm3", "thm4", "cor31")
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+@pytest.mark.parametrize("mode,p,q", [
+    (Mode.EXACT, 1, 1), (Mode.EXACT, 2, 2), (Mode.EXACT, 3, 3),
+    (Mode.FLOAT, 1, 1), (Mode.FLOAT, 2, 1), (Mode.FLOAT, 2, 2),
+])
+def test_powered_means_exact_with_a_power_other_than_one(theorem, mode, p, q):
+    ts1 = TimeScale.sequence(0, [Fraction(1, 2), 1, Fraction(3, 2)], mode=mode)
+    ts2 = TimeScale.sequence(0, [Fraction(1, 3), 2], mode=mode)
+    a = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: 1 + t1 + t2)
+    f = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: t1 * t2)
+    sc = BoundScenario(a=a, f=f, kernel=lambda t1, t2, s1, s2: 1 + s1 * s2, p=p, q=q)
+    report = compute_bound(theorem, sc)
+    reads_p = theorem in POWER_SELECTORS
+    assert report.power == (sc.p if reads_p else 1)
+    assert report.powered is (mode is Mode.EXACT and reads_p and p != 1)
+    assert report.mode is mode and report.approximate is False
+
+
+def test_a_float_report_with_a_value_that_is_not_finite_is_not_certified():
+    ts1, ts2 = integer_windows(3, 3, mode=Mode.FLOAT)
+    report = thm1_bound_in2(BoundScenario(
+        a=GridFunction2.constant(ts1, ts2, 1.0), f=GridFunction2.constant(ts1, ts2, 1.0)
+    ))
+    assert report.certified
+    for bad in (math.inf, math.nan):
+        rows = [list(row) for row in report.values]
+        rows[2][2] = bad
+        assert not dataclasses.replace(report, values=tuple(map(tuple, rows))).certified

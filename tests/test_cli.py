@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -130,21 +131,48 @@ def refuse_non_finite(name):
     raise ValueError(f"non-finite number {name} in output")
 
 
+OVERFLOW_WINDOW = {"kind": "integers", "a": "0", "b": "40"}
+OVERFLOW_CONFIG = {"theorem": "thm1-in2", "mode": "float", "scale1": OVERFLOW_WINDOW,
+                   "scale2": OVERFLOW_WINDOW, "a": "1", "f": "10^300"}
+
+
 def test_cmd_bound_overflow_is_valid_json_and_not_dominated(tmp_path, capsys):
     # f = 10^300 on 41 x 41 points overflows: bounds go to inf and the
     # equality case to nan. That proves no domination, and JSON has no
     # inf or nan, so they are written as strings. Every hypothesis holds,
-    # so the report is certified and the failed oracle makes the exit 1.
-    window = {"kind": "integers", "a": "0", "b": "40"}
-    doc = {"theorem": "thm1-in2", "mode": "float", "scale1": window, "scale2": window,
-           "a": "1", "f": "10^300", "oracle": True}
-    assert main(["bound", str(write_config(tmp_path, doc))]) == 1
+    # but an overflowed float report is not certified: the exit is 2.
+    doc = {**OVERFLOW_CONFIG, "oracle": True}
+    assert main(["bound", str(write_config(tmp_path, doc))]) == 2
     payload = json.loads(capsys.readouterr().out, parse_constant=refuse_non_finite)
-    assert payload["certified"] is True
+    assert payload["certified"] is False
+    assert all(payload["hypotheses"].values())
     assert payload["oracle"]["dominated"] is False
     assert payload["oracle"]["worst_margin"] == "-inf"
     assert payload["bounds"][40][40] == "inf"
     assert "nan" in payload["oracle"]["u_star"][40]
+
+
+def test_cmd_bound_overflow_without_oracle_is_not_certified(tmp_path, capsys):
+    assert main(["bound", str(write_config(tmp_path, OVERFLOW_CONFIG))]) == 2
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse_non_finite)
+    assert payload["certified"] is False
+    assert all(payload["hypotheses"].values())
+    assert payload["bounds"][40][40] == "inf"
+
+
+@pytest.mark.parametrize("scale", [
+    {"kind": "integers", "a": "0", "b": "1e9"},
+    {"kind": "qscale", "q": "2", "t0": "1", "k_max": 10**9},
+    {"kind": "sample", "left": "0", "step": "1", "count": 10**9},
+    {"kind": "sequence", "alphas": ["1"] * 10_000},
+], ids=lambda scale: scale["kind"])
+def test_cmd_bound_refuses_an_oversized_window_at_once(tmp_path, capsys, scale):
+    doc = {**EXAMPLE_CONFIG, "mode": "float", "scale1": scale, "f": "1"}
+    start = time.perf_counter()
+    assert main(["bound", str(write_config(tmp_path, doc))]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad ") and "MAX_WINDOW_POINTS allows 10000" in err
 
 
 def test_cmd_bound_with_oracle_block(tmp_path):

@@ -138,6 +138,16 @@ def test_check_estimate_with_slack_has_positive_interior_margins():
                 assert estimate.value(t1, t2) > u.value(t1, t2)
 
 
+def test_check_estimate_leaves_the_origin_out_of_the_comparison():
+    # Both sides vanish at the origin; it is neither compared nor counted
+    # as attained, while the g edge, where the estimate is sqrt(g), is.
+    prob = _problem(F=lambda t1, t2, u: t2 * u / 2)
+    result = check_estimate(prob)
+    assert (0.0, 0.0) not in result.attained_points
+    assert (1.0, 0.0) in result.attained_points
+    assert result.bound_values == estimate_in7(prob).values
+
+
 def test_check_estimate_negative_control():
     with pytest.raises(HypothesisViolated):
         check_estimate(_problem(F=lambda t1, t2, u: 2 * t2 * u))

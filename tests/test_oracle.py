@@ -85,6 +85,49 @@ def test_power_equality_case_collapses_to_linear_for_unit_powers():
     assert equality_case_power(sc).values == equality_case_linear(sc).values
 
 
+def test_float_power_equality_case_at_unit_powers_is_the_linear_one_bit_for_bit():
+    rng = random.Random(17)
+    for _ in range(10):
+        ts1, ts2 = (
+            TimeScale.sequence(
+                0.0, [rng.uniform(0.1, 2.0) for _ in range(rng.randint(1, 7))], mode=Mode.FLOAT
+            )
+            for _ in range(2)
+        )
+        a = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: 0.5 + t1 + t1 * t2)
+        f = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: rng.uniform(0.0, 3.0))
+        sc = BoundScenario(a=a, f=f, p=1.0, q=1.0)
+        power, linear = equality_case_power(sc).values, equality_case_linear(sc).values
+        assert [[v.hex() for v in row] for row in power] == [
+            [v.hex() for v in row] for row in linear
+        ]
+
+
+def test_float_power_equality_case_solves_its_recursion():
+    # u**p = a + sum over sources below of mu1 * mu2 * f * u**q, at p > q > 1.
+    rng = random.Random(29)
+    ts1, ts2 = integer_windows(5, 4, mode=Mode.FLOAT)
+    a = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: 1.0 + t1 + t2)
+    f = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: rng.uniform(0.0, 0.5))
+    u = equality_case_power(BoundScenario(a=a, f=f, p=3.0, q=2.0)).values
+    for i in range(5):
+        for j in range(4):
+            rhs = a.values[i][j] + sum(
+                f.values[k][m] * u[k][m] ** 2 for k in range(i) for m in range(j)
+            )
+            assert u[i][j] ** 3 == pytest.approx(rhs, rel=1e-12)
+
+
+def test_linear_equality_case_does_not_read_the_powers():
+    ts1, ts2 = integer_windows(4, 4, mode=Mode.FLOAT)
+    a = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: 1.0 + t1 * t2)
+    f = GridFunction2.from_callable(ts1, ts2, lambda t1, t2: 0.5 + t2)
+    powered = BoundScenario(a=a, f=f, p=3.0, q=2.0)
+    assert equality_case_linear(powered).values == equality_case_linear(
+        BoundScenario(a=a, f=f)
+    ).values
+
+
 def test_power_equality_case_one_step_hand_value():
     # u*(1,1) = (1 + 1*1)^(1/2) = sqrt(2)
     ts1, ts2 = integer_windows(3, 3, mode=Mode.FLOAT)

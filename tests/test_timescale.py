@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from tsgronwall.errors import (
     PointNotInScale,
 )
 from tsgronwall.numeric import Mode
-from tsgronwall.timescale import TimeScale, exp_prefix_from_increments
+from tsgronwall.timescale import MAX_WINDOW_POINTS, TimeScale, exp_prefix_from_increments
 
 
 def test_window_needs_two_points():
@@ -246,3 +247,79 @@ def test_exp_fn_first_order_convergence_on_samples():
         errors.append(abs(target - value))
     for coarse, fine in zip(errors, errors[1:]):
         assert 1.5 <= coarse / fine <= 2.5
+
+
+# The three forms of the scale exponential, each over the first
+# len(values) steps of `ts` with the generator values given.
+EXP_FORMS = {
+    "exp_fn": lambda ts, values: ts.exp_fn(
+        dict(zip(ts.points, values)).__getitem__, ts.points[len(values)], ts.start
+    ),
+    "exp_prefix": lambda ts, values: ts.exp_prefix(values)[-1],
+    "exp_prefix_from_increments": lambda ts, values: exp_prefix_from_increments(
+        ts.graininesses(), values, ts.mode
+    )[-1],
+}
+
+
+@pytest.mark.parametrize("form", EXP_FORMS.values(), ids=EXP_FORMS.keys())
+def test_every_exponential_form_guards_its_factors(form):
+    ts = TimeScale.integers(0, 4)
+    with pytest.raises(NotRegressive):
+        form(ts, [Fraction(0), Fraction(-1), Fraction(0)])
+    with pytest.warns(NegativeFactorWarning):
+        assert form(ts, [Fraction(-2), Fraction(-2)]) == 1  # (-1) * (-1)
+    with pytest.raises(ModeMismatch):
+        form(ts, [Fraction(0), 0.5])
+    assert form(ts, [Fraction(1, 2), Fraction(1)]) == 3
+
+
+def test_exp_fn_stops_reading_the_generator_at_a_vanishing_factor():
+    ts = TimeScale.integers(0, 4)
+    read = []
+
+    def p(t):
+        read.append(t)
+        return Fraction(-1) if t == 1 else Fraction(0)
+
+    with pytest.raises(NotRegressive):
+        ts.exp_fn(p, 4, 0)
+    assert read == [0, 1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TimeScale.integers(0, 10**9),
+    lambda: TimeScale.integers(0, 1, Fraction(1, 10**9)),
+    lambda: TimeScale.integers(0, MAX_WINDOW_POINTS),
+    lambda: TimeScale.integers(0.0, 1e9, mode=Mode.FLOAT),
+    lambda: TimeScale.integers(0.0, math.inf, mode=Mode.FLOAT),
+    lambda: TimeScale.qscale(2, 1, 10**9),
+    lambda: TimeScale.sample(0.0, 1.0, 10**9),
+    lambda: TimeScale.sequence(0, [Fraction(1)] * MAX_WINDOW_POINTS),
+])
+def test_oversized_windows_are_refused_before_any_point_is_built(build):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"MAX_WINDOW_POINTS allows {MAX_WINDOW_POINTS}"):
+        build()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_window_of_exactly_the_cap_is_built():
+    assert len(TimeScale.integers(0, MAX_WINDOW_POINTS - 1)) == MAX_WINDOW_POINTS
+    assert len(TimeScale.sample(0.0, 1.0, MAX_WINDOW_POINTS)) == MAX_WINDOW_POINTS
+
+
+def test_float_integer_windows_keep_every_point_the_stepping_rule_gives():
+    # The window is every start + k*step <= stop, each computed as written.
+    rng = random.Random(23)
+    for _ in range(500):
+        step = rng.choice([0.1, 0.2, 0.3, 1 / 3, 0.7, 1.1, rng.uniform(0.01, 2.0)])
+        start = rng.choice([0.0, 0.1, -0.3, rng.uniform(-5.0, 5.0)])
+        stop = start + rng.randint(1, 60) * step
+        stop = rng.choice([stop, math.nextafter(stop, math.inf), math.nextafter(stop, -math.inf)])
+        expected = []
+        while start + len(expected) * step <= stop:
+            expected.append(start + len(expected) * step)
+        if len(expected) < 2:
+            continue
+        assert TimeScale.integers(start, stop, step, mode=Mode.FLOAT).points == tuple(expected)
