@@ -41,6 +41,10 @@ class KernelDomain(TsgronwallError):
     """A four-argument kernel was evaluated outside its triangular domain."""
 
 
+class KernelWorkTooLarge(TsgronwallError):
+    """A kernel sum would read more target-source pairs than the cap allows."""
+
+
 class NonPositiveA(TsgronwallError):
     """The offset grid must stay positive where a negative power of it is needed."""
 
@@ -88,6 +92,10 @@ class NegativeSqrt(ExprError):
 
 class FloatOverflow(ExprError):
     """A float power left the float64 range."""
+
+
+class PowerTooLarge(ExprError):
+    """An exact power would exceed numeric.MAX_POWER_BITS."""
 
 
 class NegativeFactorWarning(UserWarning):

@@ -15,13 +15,32 @@ float). Functions: sqrt (one argument), min and max (two or more).
 There are no conditionals and no loops; every parsed expression either
 evaluates or raises one of the documented errors.
 
-Evaluation compiles the tree into nested closures, one per node, that
-take the variable values as a tuple. ``compile_fn`` parses and compiles
-once and returns a positional callable over the result; ``evaluate`` is
-compile-then-call. Compilation checks nothing about values: mode
-mismatches, division by zero, negative square roots, irrational exact
-powers and unbound variables are still raised when the call meets them,
-and operations run in tree order, so results match a direct tree walk.
+Nesting is capped at MAX_DEPTH levels. A leaf counts 1, and each
+operator, unary minus, call and pair of parentheses adds 1 over its
+deepest part, so a flat chain t+t+...+t of n terms is n levels deep.
+The parser refuses anything deeper with ExprSyntaxError, before it
+recurses past the cap.
+
+Evaluation runs generated Python. ``_positional`` writes the source of
+one function, ``def fn(a0, ..., ak): return <expr>``, and runs it once
+through ``exec``; ``compile_fn``, ``compile_separable`` and ``evaluate``
+all go through it. The source holds no config text and no variable
+name, only these names:
+- the parameters a0 ... ak, one per bound variable, in order;
+- constant slots C[k]: literal values, and message texts such as
+  "variable t";
+- K, the mode's scalar type, the helpers R (mode check), D (division),
+  P (power), S (sqrt) and U (unbound variable), and the builtins type,
+  min and max.
+'+', '-', '*' and unary minus are inline operators, and min and max are
+builtin calls. Each variable read is (aK if type(aK) is K else R(aK,
+C[m])), so a mode mismatch is raised where the tree walk meets it, and
+plain ints pass in exact mode. Operands run in tree order, so values
+and errors, type and message, match a direct tree walk. A literal-only
+subtree such as 3/8 is folded into one C slot when evaluating it in the
+expression's mode raises nothing. A subtree that raises, such as 1/0,
+stays in place, and so its error still comes from the call that meets
+it.
 
 ``to_source`` renders an AST back to text that re-parses to an identical
 tree. Literals keep that guarantee whenever their denominator divides a
@@ -39,11 +58,13 @@ from .errors import (
     DivisionByZero,
     ExprSyntaxError,
     NegativeSqrt,
+    TsgronwallError,
     UnknownVariable,
 )
 from .numeric import Mode, Scalar, exact_sqrt, require_mode, scalar_pow
 
 import math
+import operator
 
 
 @dataclass(frozen=True)
@@ -78,6 +99,13 @@ Expr = Lit | Var | Neg | Bin | Call
 
 # func name -> (min arity, max arity or None for unbounded)
 _FUNCTIONS = {"sqrt": (1, 1), "min": (2, None), "max": (2, None)}
+
+# Deepest nesting the parser accepts. A leaf counts 1; each operator,
+# unary minus, call and pair of parentheses adds 1 over its deepest
+# part, so a flat chain a+a+...+a of n terms is n deep. It keeps the
+# recursive walks over a tree and the generated source (CPython allows
+# 200 nested brackets in one expression) within bounds.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -120,9 +148,15 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent that also measures nesting (see MAX_DEPTH): each
+    rule returns its tree with the tree's depth, and `level` counts the
+    constructs open around the current token, so a chain that can only
+    end past the cap is refused before it recurses further."""
+
     def __init__(self, tokens: list[_Token], variables):
         self.tokens = tokens
         self.k = 0
+        self.level = 0
         self.variables = frozenset(variables)
 
     def peek(self) -> _Token:
@@ -139,77 +173,111 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}", token.pos)
         return self.advance()
 
+    def too_deep(self, token: _Token) -> ExprSyntaxError:
+        return ExprSyntaxError(f"expression nests deeper than MAX_DEPTH = {MAX_DEPTH}", token.pos)
+
+    def enter(self, token: _Token) -> None:
+        """Open a construct whose result sits one level above its inside."""
+        self.level += 1
+        if self.level >= MAX_DEPTH:
+            raise self.too_deep(token)
+
+    def above(self, token: _Token, *depths: int) -> int:
+        """Depth of a node over children of these depths."""
+        depth = max(depths) + 1
+        if depth > MAX_DEPTH:
+            raise self.too_deep(token)
+        return depth
+
     def parse(self) -> Expr:
-        expr = self.sum_()
+        expr, _ = self.sum_()
         token = self.peek()
         if token.kind != "end":
             raise ExprSyntaxError(f"unexpected {token.text!r} after expression", token.pos)
         return expr
 
-    def sum_(self) -> Expr:
-        expr = self.term()
+    def sum_(self):
+        expr, depth = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            expr = Bin(op, expr, self.term())
-        return expr
+            token = self.advance()
+            right, right_depth = self.term()
+            expr, depth = Bin(token.kind, expr, right), self.above(token, depth, right_depth)
+        return expr, depth
 
-    def term(self) -> Expr:
-        expr = self.signed()
+    def term(self):
+        expr, depth = self.signed()
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            expr = Bin(op, expr, self.signed())
-        return expr
+            token = self.advance()
+            right, right_depth = self.signed()
+            expr, depth = Bin(token.kind, expr, right), self.above(token, depth, right_depth)
+        return expr, depth
 
-    def signed(self) -> Expr:
-        if self.peek().kind == "-":
+    def signed(self):
+        token = self.peek()
+        if token.kind == "-":
             self.advance()
-            return Neg(self.signed())
+            self.enter(token)
+            operand, depth = self.signed()
+            self.level -= 1
+            return Neg(operand), self.above(token, depth)
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek().kind == "^":
+    def power(self):
+        base, depth = self.atom()
+        token = self.peek()
+        if token.kind == "^":
             self.advance()
-            return Bin("^", base, self.signed())
-        return base
+            self.enter(token)
+            exponent, exponent_depth = self.signed()
+            self.level -= 1
+            return Bin("^", base, exponent), self.above(token, depth, exponent_depth)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self):
         token = self.peek()
         if token.kind == "num":
             self.advance()
-            return Lit(Fraction(token.text))
+            return Lit(Fraction(token.text)), 1
         if token.kind == "name":
             self.advance()
             if self.peek().kind == "(":
                 return self.call(token)
             if token.text not in self.variables:
                 raise UnknownVariable(token.text, token.pos)
-            return Var(token.text)
+            return Var(token.text), 1
         if token.kind == "(":
             self.advance()
-            expr = self.sum_()
+            self.enter(token)
+            expr, depth = self.sum_()
             self.expect(")")
-            return expr
+            self.level -= 1
+            return expr, self.above(token, depth)
         raise ExprSyntaxError("expected a number, name or parenthesis", token.pos)
 
-    def call(self, name_token: _Token) -> Expr:
+    def call(self, name_token: _Token):
         name = name_token.text
         arity = _FUNCTIONS.get(name)
         if arity is None:
             raise ExprSyntaxError(f"unknown function {name!r}", name_token.pos)
         self.expect("(")
-        args = [self.sum_()]
-        while self.peek().kind == ",":
+        self.enter(name_token)
+        args, depths = [], []
+        while True:
+            arg, depth = self.sum_()
+            args.append(arg)
+            depths.append(depth)
+            if self.peek().kind != ",":
+                break
             self.advance()
-            args.append(self.sum_())
         self.expect(")")
+        self.level -= 1
         lo, hi = arity
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise ExprSyntaxError(
                 f"{name} takes {'exactly' if hi == lo else 'at least'} {lo} argument(s)",
                 name_token.pos,
             )
-        return Call(name, tuple(args))
+        return Call(name, tuple(args)), self.above(name_token, *depths)
 
 
 def parse(source: str, variables=()) -> Expr:
@@ -267,85 +335,10 @@ def to_source(expr: Expr) -> str:
     return _render(expr, 0)
 
 
-def _compile(expr: Expr, slots: dict, mode: Mode):
-    """Turn an AST into a closure over a tuple of variable values; `slots`
-    maps each bound name to its index in that tuple. Each node becomes one
-    closure that evaluates its children in the tree-walking order, so
-    every run-time error still surfaces at the call that meets it."""
-    if isinstance(expr, Lit):
-        value = Fraction(expr.value) if mode is Mode.EXACT else float(expr.value)
-        return lambda args: value
-    if isinstance(expr, Var):
-        name = expr.name
-        if name not in slots:
-
-            def unbound(args):
-                raise UnknownVariable(name)
-
-            return unbound
-        slot, what = slots[name], f"variable {name}"
-        kind = Fraction if mode is Mode.EXACT else float
-
-        def var(args):
-            value = args[slot]
-            if type(value) is kind:
-                return value
-            return require_mode(value, mode, what)
-
-        return var
-    if isinstance(expr, Neg):
-        operand = _compile(expr.operand, slots, mode)
-        return lambda args: -operand(args)
-    if isinstance(expr, Call):
-        parts = tuple(_compile(a, slots, mode) for a in expr.args)
-        if expr.func == "sqrt":
-
-            def apply(values):
-                return _sqrt_value(values[0], mode)
-
-        elif expr.func in ("min", "max"):
-            apply = min if expr.func == "min" else max
-        else:
-            raise ValueError(f"unknown function {expr.func!r}")
-        return lambda args: apply([part(args) for part in parts])
-    left = _compile(expr.left, slots, mode)
-    right = _compile(expr.right, slots, mode)
-    if expr.op == "+":
-        return lambda args: left(args) + right(args)
-    if expr.op == "-":
-        return lambda args: left(args) - right(args)
-    if expr.op == "*":
-        return lambda args: left(args) * right(args)
-    if expr.op == "/":
-
-        def divide(args):
-            numerator, denominator = left(args), right(args)
-            if denominator == 0:
-                raise DivisionByZero("division by zero")
-            return numerator / denominator
-
-        return divide
-    if expr.op == "^":
-
-        def power(args):
-            base, exponent = left(args), right(args)
-            try:
-                return scalar_pow(base, exponent, mode)
-            except DivisionByZero:
-                raise
-            except ZeroDivisionError:
-                raise DivisionByZero("zero raised to a negative power") from None
-
-        return power
-    raise ValueError(f"unknown operator {expr.op!r}")
-
-
-def evaluate(expr: Expr, env: dict, mode: Mode = Mode.EXACT) -> Scalar:
-    """Evaluate with every free variable bound in env, entirely within the
-    given mode. Deterministic and side-effect free. Compiles the tree on
-    every call; use compile_fn to evaluate one expression many times."""
-    slots = {name: k for k, name in enumerate(env)}
-    return _compile(expr, slots, mode)(tuple(env.values()))
+def _divide(numerator, denominator):
+    if denominator == 0:
+        raise DivisionByZero("division by zero")
+    return numerator / denominator
 
 
 def _sqrt_value(value: Scalar, mode: Mode) -> Scalar:
@@ -356,22 +349,129 @@ def _sqrt_value(value: Scalar, mode: Mode) -> Scalar:
     return math.sqrt(value)
 
 
+def _unbound(name: str):
+    raise UnknownVariable(name)
+
+
+def _helpers(mode: Mode) -> dict:
+    """Every name generated code reads besides its parameters and C."""
+
+    def power(base, exponent):
+        try:
+            return scalar_pow(base, exponent, mode)
+        except DivisionByZero:
+            raise
+        except ZeroDivisionError:
+            raise DivisionByZero("zero raised to a negative power") from None
+
+    return {
+        "K": Fraction if mode is Mode.EXACT else float,
+        "R": lambda value, what: require_mode(value, mode, what),
+        "D": _divide,
+        "P": power,
+        "S": lambda value: _sqrt_value(value, mode),
+        "U": _unbound,
+        "min": min,
+        "max": max,
+    }
+
+
+_HELPERS = {mode: _helpers(mode) for mode in Mode}
+_INLINE = {"+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg}
+_HELPER_OF = {"/": "D", "^": "P", "sqrt": "S", "min": "min", "max": "max"}
+
+
+@dataclass(frozen=True)
+class _Const:
+    """A literal-only subtree folded to its value."""
+
+    value: Scalar
+
+
+class _Codegen:
+    """Writes the source of one function over `names`, positionally, for
+    one mode; see the module docstring for what the source may hold."""
+
+    def __init__(self, names: tuple, mode: Mode):
+        self.count = len(names)
+        self.slots = {name: k for k, name in enumerate(names)}
+        self.mode = mode
+        self.helpers = _HELPERS[mode]
+        self.constants = []
+        self.reads = {}
+
+    def slot(self, value) -> str:
+        self.constants.append(value)
+        return f"C[{len(self.constants) - 1}]"
+
+    def source(self, part) -> str:
+        return self.slot(part.value) if isinstance(part, _Const) else part
+
+    def read(self, name: str) -> str:
+        if name not in self.reads:
+            if name in self.slots:
+                a = f"a{self.slots[name]}"
+                what = self.slot(f"variable {name}")
+                self.reads[name] = f"({a} if type({a}) is K else R({a}, {what}))"
+            else:
+                self.reads[name] = f"U({self.slot(name)})"
+        return self.reads[name]
+
+    def emit(self, node):
+        """Source text for node, or _Const when the node holds no name
+        and evaluating it in this mode raises nothing."""
+        if isinstance(node, Lit):
+            return _Const(Fraction(node.value) if self.mode is Mode.EXACT else float(node.value))
+        if isinstance(node, Var):
+            return self.read(node.name)
+        if isinstance(node, Neg):
+            op, parts = "neg", [self.emit(node.operand)]
+        elif isinstance(node, Call):
+            if node.func not in _FUNCTIONS:
+                raise ValueError(f"unknown function {node.func!r}")
+            op, parts = node.func, [self.emit(a) for a in node.args]
+        elif node.op in _PREC and node.op != "neg":
+            op, parts = node.op, [self.emit(node.left), self.emit(node.right)]
+        else:
+            raise ValueError(f"unknown operator {node.op!r}")
+        if all(isinstance(part, _Const) for part in parts):
+            apply = _INLINE.get(op) or self.helpers[_HELPER_OF[op]]
+            try:
+                return _Const(apply(*(part.value for part in parts)))
+            except (TsgronwallError, ArithmeticError):
+                pass  # left in place: the call that meets it raises
+        args = [self.source(part) for part in parts]
+        if op == "neg":
+            return f"(-{args[0]})"
+        if op in _INLINE:
+            return f"({args[0]} {op} {args[1]})"
+        return f"{_HELPER_OF[op]}({', '.join(args)})"
+
+    def function(self, expr: Expr):
+        body = self.source(self.emit(expr))
+        params = ", ".join(f"a{k}" for k in range(self.count))
+        namespace = dict(self.helpers, C=tuple(self.constants))
+        exec(compile(f"def fn({params}):\n    return {body}\n", "<exprlang>", "exec"), namespace)
+        return namespace["fn"]
+
+
 def _positional(expr: Expr, names: tuple, mode: Mode):
-    body = _compile(expr, {name: k for k, name in enumerate(names)}, mode)
-    count = len(names)
+    """The one compiler: a function of len(names) positional arguments,
+    bound to `names` in order, that evaluates expr in `mode`."""
+    return _Codegen(names, mode).function(expr)
 
-    def fn(*args):
-        if len(args) != count:
-            raise TypeError(f"expected {count} arguments, got {len(args)}")
-        return body(args)
 
-    return fn
+def evaluate(expr: Expr, env: dict, mode: Mode = Mode.EXACT) -> Scalar:
+    """Evaluate with every free variable bound in env, entirely within the
+    given mode. Deterministic and side-effect free. Compiles the tree on
+    every call; use compile_fn to evaluate one expression many times."""
+    return _positional(expr, tuple(env), mode)(*env.values())
 
 
 def compile_fn(source: str, variables, mode: Mode = Mode.EXACT):
-    """Parse and compile once into closures: the returned callable binds
-    its positional arguments to `variables` in order and runs the
-    compiled tree, with the same errors `evaluate` raises."""
+    """Parse and compile once: the returned function binds its positional
+    arguments to `variables` in order, with the same values and errors
+    `evaluate` gives."""
     names = tuple(variables)
     return _positional(parse(source, names), names, mode)
 

@@ -15,9 +15,13 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Union
 
-from .errors import FloatOverflow, ModeMismatch, ModeRequired, NegativeSqrt
+from .errors import FloatOverflow, ModeMismatch, ModeRequired, NegativeSqrt, PowerTooLarge
 
 Scalar = Union[Fraction, int, float]
+
+# Largest exact power scalar_pow computes, in bits of numerator and
+# denominator together; checked before the power is taken.
+MAX_POWER_BITS = 1 << 20
 
 
 class Mode(enum.Enum):
@@ -84,8 +88,10 @@ def scalar_pow(base: Scalar, exponent: Scalar, mode: Mode) -> Scalar:
     """base ** exponent under the mode's rules.
 
     Exact mode accepts integer exponents only; anything else has no exact
-    rational value in general. Float mode rejects fractional powers of
-    negative bases (no real result) and results past the float64 range.
+    rational value in general. It refuses, with PowerTooLarge, a result
+    of more than MAX_POWER_BITS bits before computing it. Float mode
+    rejects fractional powers of negative bases (no real result) and
+    results past the float64 range.
     """
     if mode is Mode.EXACT:
         exp = Fraction(exponent)
@@ -96,7 +102,15 @@ def scalar_pow(base: Scalar, exponent: Scalar, mode: Mode) -> Scalar:
         n = int(exp)
         if base == 0 and n < 0:
             raise ZeroDivisionError("0 raised to a negative power")
-        return Fraction(base) ** n
+        frac = Fraction(base)
+        # about log2 of the result's numerator times its denominator
+        bits = abs(n) * (abs(frac.numerator).bit_length() + frac.denominator.bit_length() - 2)
+        if bits > MAX_POWER_BITS:
+            size = bits if bits < 10**15 else f"2^{bits.bit_length() - 1}"
+            raise PowerTooLarge(
+                f"exact power needs about {size} bits; MAX_POWER_BITS allows {MAX_POWER_BITS}"
+            )
+        return frac ** n
     b = float(base)
     e = float(exponent)
     if b == 0.0 and e < 0:

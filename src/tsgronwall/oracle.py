@@ -139,7 +139,12 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     generator = kernel_generator(sc, coefficients, False, {})
     u = []
     for i in range(n1):
-        u_row = [sc.root(a[i][j] + sum(generator(i, j, f[i][j]), zero_value)) for j in range(n2)]
+        u_row = []
+        for j in range(n2):
+            s = zero_value
+            for g in generator(i, j, f[i][j]):
+                s += g
+            u_row.append(sc.root(a[i][j] + s))
         u.append(u_row)
         if i + 1 < n1:
             coefficients.append([mu1[i] * w * sc.q_power(v) for w, v in zip(mu2, u_row)])

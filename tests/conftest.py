@@ -106,6 +106,13 @@ EXPR_CORPUS = [
     "t1*t2*u",
     "((t1))",
     "sqrt(min(t1,t2))+max(u,1)-0.5",
+    # literal-only subtrees: the first two fold to constants, the rest
+    # raise and so stay in place, raising where the walk meets them
+    "3/8*t1",
+    "(1+1/2)*t2",
+    "t1*(1/(2-2))",
+    "0^(0-1)+t1",
+    "2^(1/2)*t1",
 ]
 
 EXPR_CORPUS_VARIABLES = ("t1", "t2", "u", "q", "s")

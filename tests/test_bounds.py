@@ -12,12 +12,14 @@ from conftest import (
     rand_grid,
     random_discrete_windows,
 )
+from tsgronwall import config
 from tsgronwall.bounds import (
     THEOREMS,
     BoundScenario,
     best_linear_bound,
     compute_bound,
     cor31_bound,
+    kernel_generator,
     kernel_value,
     thm1_bound_in2,
     thm1_bound_in6,
@@ -29,6 +31,7 @@ from tsgronwall.cli import example31_scenario
 from tsgronwall.errors import (
     GridMismatch,
     KernelDomain,
+    ModeMismatch,
     ModeRequired,
     NonPositiveA,
     WrongScaleKind,
@@ -184,6 +187,61 @@ def test_kernel_domain_guard():
         kernel_value(sc, 1, 1, 2, 1)
     with pytest.raises(KernelDomain):
         kernel_value(sc, 1, 1, 1, 2)
+
+
+def _rational_kernel(t1, t2, s1, s2):
+    return int((t1 - s1) * (t2 + s2)) - 3  # an int: exact, and negative in places
+
+
+@pytest.mark.parametrize("kernel", [
+    config.parse_kernel("min(t - tau + 1, s - xi + 1)/3", Mode.EXACT),
+    config.parse_kernel("max(tau*s, t*xi, 1/2) - 2", Mode.EXACT),
+    _rational_kernel,
+], ids=["min", "max", "python"])
+def test_direct_kernel_generator_sums_kernel_value_over_every_pair(kernel):
+    rng = random.Random(41)
+    ts1, ts2 = integer_windows(5, 4)
+    a = GridFunction2.constant(ts1, ts2, Fraction(1))
+    sc = BoundScenario(a=a, f=a, kernel=kernel)
+    coefficients = [[rand_fraction(rng, -9) for _ in range(3)] for _ in range(4)]
+    hyp = {"kernel_nonnegative": True}
+    generator = kernel_generator(sc, coefficients, False, hyp)
+    pts1, pts2 = ts1.points, ts2.points
+    negative = False
+    for i_star, t1 in enumerate(pts1):
+        for j_star, t2 in enumerate(pts2):
+            f_star = rand_fraction(rng, 1)
+            want = []
+            for i in range(i_star):
+                values = [kernel_value(sc, t1, t2, pts1[i], pts2[jj]) for jj in range(j_star)]
+                negative = negative or any(v < 0 for v in values)
+                want.append(f_star * sum(
+                    (c * v for c, v in zip(coefficients[i], values)), Fraction(0)
+                ))
+            assert generator(i_star, j_star, f_star) == want
+    assert hyp["kernel_nonnegative"] is not negative
+
+
+def test_direct_kernel_sum_checks_the_mode_of_kernel_values():
+    ts1, ts2 = integer_windows(3, 3)
+    a = GridFunction2.constant(ts1, ts2, Fraction(1))
+    sc = BoundScenario(a=a, f=a, kernel=lambda t1, t2, s1, s2: 0.5)
+    with pytest.raises(ModeMismatch, match="^kernel value 0.5 does not match exact mode$"):
+        thm2_bound(sc)
+
+
+def test_separable_kernel_sum_adds_its_terms_left_to_right():
+    # The three terms give 1e16, 1.0 and 1.0 at the one source below the
+    # target (1, 1); compensated summation would keep both 1.0s.
+    ts1, ts2 = integer_windows(2, 2, Mode.FLOAT)
+    one = GridFunction2.constant(ts1, ts2, 1.0)
+    terms = tuple(
+        (lambda t1, t2, phi=phi: phi, lambda s1, s2: 1.0) for phi in (1e16, 1.0, 1.0)
+    )
+    sc = BoundScenario(a=one, f=one, kernel=lambda *args: 1e16 + 2.0, kernel_terms=terms)
+    hyp = {"kernel_nonnegative": True}
+    generator = kernel_generator(sc, [ts2.graininesses()], False, hyp)
+    assert generator(1, 1, 1.0) == [((0.0 + 1e16) + 1.0) + 1.0] == [1e16]
 
 
 def test_thm3_with_unit_powers_is_the_linear_bound():

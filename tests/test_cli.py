@@ -1,10 +1,12 @@
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from tsgronwall import config
+from tsgronwall.bounds import MAX_DIRECT_KERNEL_PAIRS, kernel_generator
 from tsgronwall.cli import main
 from tsgronwall.errors import ConfigError
 from tsgronwall.numeric import Mode
@@ -173,6 +175,60 @@ def test_cmd_bound_refuses_an_oversized_window_at_once(tmp_path, capsys, scale):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("config error: bad ") and "MAX_WINDOW_POINTS allows 10000" in err
+
+
+def run_refused(tmp_path, capsys, doc):
+    """Run `bound` on doc; it must exit 1 within 1 s. Returns stderr."""
+    path = write_config(tmp_path, doc)
+    start = time.perf_counter()
+    assert main(["bound", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    return capsys.readouterr().err
+
+
+def test_cmd_bound_refuses_an_expression_nested_past_the_cap(tmp_path, capsys):
+    doc = {**EXAMPLE_CONFIG, "theorem": "thm2", "kernel_g": "(" * 300 + "tau" + ")" * 300}
+    err = run_refused(tmp_path, capsys, doc)
+    assert err.startswith("config error: bad kernel expression ")
+    assert "MAX_DEPTH = 100" in err
+
+
+@pytest.mark.parametrize("key, value, prefix", [
+    ("a", "2^10^9", "config error: bad grid expression "),
+    ("kernel_g", "tau*2^10^9", "error: "),
+])
+def test_cmd_bound_refuses_an_exact_power_over_the_bit_budget(tmp_path, capsys, key, value, prefix):
+    doc = {**EXAMPLE_CONFIG, "theorem": "thm2", "kernel_g": "tau*xi", key: value}
+    tracemalloc.start()
+    try:
+        err = run_refused(tmp_path, capsys, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.startswith(prefix)
+    assert "exact power needs about 1000000000 bits; MAX_POWER_BITS allows 1048576" in err
+    assert peak < 10**9 // 8 // 100  # far below the 10^9 bits asked for
+
+
+LARGE_WINDOW = {"kind": "integers", "a": "0", "b": "299"}
+LARGE_KERNEL_CONFIG = {"theorem": "thm2", "mode": "float", "scale1": LARGE_WINDOW,
+                       "scale2": LARGE_WINDOW, "a": "1", "f": "1/1000",
+                       "kernel_g": "min(t, tau) + xi"}
+
+
+def test_cmd_bound_refuses_a_direct_kernel_sum_over_the_pair_cap(tmp_path, capsys):
+    err = run_refused(tmp_path, capsys, LARGE_KERNEL_CONFIG)
+    pairs = (300 * 299 // 2) ** 2
+    assert err == (
+        f"error: the direct kernel sum on 300 x 300 points reads {pairs} target-source "
+        f"pairs; MAX_DIRECT_KERNEL_PAIRS allows {MAX_DIRECT_KERNEL_PAIRS}\n"
+    )
+
+
+def test_the_pair_cap_leaves_a_separable_kernel_alone():
+    sc = config.load_scenario({**LARGE_KERNEL_CONFIG, "kernel_g": "tau*xi"}).bound_scenario
+    generator = kernel_generator(sc, [sc.ts2.graininesses()] * 299, False, {})
+    assert generator(2, 2, 1.0) == [0.0, 1.0]  # tau*xi summed over xi in {0, 1}
 
 
 def test_cmd_bound_with_oracle_block(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from tsgronwall.errors import (
     FloatOverflow,
     ModeRequired,
     NegativeSqrt,
+    PowerTooLarge,
     UnknownVariable,
 )
 from tsgronwall.exprlang import (
+    MAX_DEPTH,
     Bin,
     Lit,
     Neg,
@@ -235,6 +238,52 @@ def test_compiled_expressions_match_the_tree_walk(mode):
         want = _outcome(lambda: tree_evaluate(tree, partial, mode))
         _assert_same(_outcome(lambda: evaluate(tree, partial, mode)), want, mode, source)
     assert errors and checked - errors  # the environments reach both outcomes
+
+
+# Source text nesting `depth` levels deep (see MAX_DEPTH), per shape.
+DEPTH_SHAPES = {
+    "negations": lambda depth: "-" * (depth - 1) + "t",
+    "parentheses": lambda depth: "(" * (depth - 1) + "t" + ")" * (depth - 1),
+    "sum": lambda depth: "+".join(["t"] * depth),
+    "quotients": lambda depth: "t" + "/2" * (depth - 1),
+    "power-tower": lambda depth: "^".join(["2"] * (depth - 1) + ["1"]),
+    "calls": lambda depth: "min(" * (depth - 1) + "t" + ",1)" * (depth - 1),
+}
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_expressions_at_the_depth_cap_compile_and_evaluate(shape, mode):
+    source = DEPTH_SHAPES[shape](MAX_DEPTH)
+    t = Fraction(3) if mode is Mode.EXACT else 3.0
+    want = _outcome(lambda: tree_evaluate(parse(source, ("t",)), {"t": t}, mode))
+    _assert_same(_outcome(lambda: compile_fn(source, ("t",), mode)(t)), want, mode, source)
+    if shape == "power-tower":
+        # 2^2^2^2^2 is 2^65536; one more 2 has no representable value
+        assert want[1][0] is (PowerTooLarge if mode is Mode.EXACT else FloatOverflow)
+    else:
+        assert want[0] == "value"
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_expressions_past_the_depth_cap_are_refused_at_once(shape):
+    for depth in (MAX_DEPTH + 1, 10 * MAX_DEPTH):
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError, match=rf"MAX_DEPTH = {MAX_DEPTH} \(position \d+\)$"):
+            compile_fn(DEPTH_SHAPES[shape](depth), ("t",))
+        assert time.perf_counter() - start < 1.0
+
+
+def test_a_power_tower_of_ones_evaluates_at_the_depth_cap():
+    assert compile_fn("^".join(["2"] + ["1"] * (MAX_DEPTH - 1)), ())() == 2
+
+
+def test_exact_power_over_the_bit_budget_is_refused_at_its_call():
+    start = time.perf_counter()
+    fn = compile_fn("t*2^10^9", ("t",))
+    with pytest.raises(PowerTooLarge, match="MAX_POWER_BITS allows"):
+        fn(Fraction(1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reimporting_the_package_frees_earlier_copies():

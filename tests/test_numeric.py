@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tsgronwall.errors import ModeMismatch
-from tsgronwall.numeric import Mode, mode_of
+from tsgronwall.errors import ModeMismatch, PowerTooLarge
+from tsgronwall.numeric import MAX_POWER_BITS, Mode, mode_of, scalar_pow
 
 
 class _Ratio(Fraction):
@@ -39,3 +39,21 @@ def test_mode_of_classifies_scalars(value, mode):
 def test_mode_of_refuses_non_scalars(value):
     with pytest.raises(ModeMismatch):
         mode_of(value)
+
+
+@pytest.mark.parametrize("base, exponent", [
+    (2, 10**9),
+    (Fraction(1, 2), -(10**9)),
+    (Fraction(3, 2), MAX_POWER_BITS),
+    (2, 2**65536),
+], ids=["2^10^9", "half^-10^9", "3/2^cap", "2^2^65536"])
+def test_exact_powers_over_the_bit_budget_are_refused_before_they_are_computed(base, exponent):
+    with pytest.raises(PowerTooLarge, match=f"MAX_POWER_BITS allows {MAX_POWER_BITS}$"):
+        scalar_pow(base, exponent, Mode.EXACT)
+
+
+def test_exact_powers_within_the_bit_budget_are_computed():
+    assert scalar_pow(2, MAX_POWER_BITS, Mode.EXACT) == 2**MAX_POWER_BITS
+    assert scalar_pow(Fraction(1, 2), -3, Mode.EXACT) == 8
+    for base in (1, -1, 0):
+        assert scalar_pow(base, 10**100 + 1, Mode.EXACT) == base

@@ -169,6 +169,19 @@ def test_kernel_equality_case_reduces_to_linear():
     assert equality_case_kernel(kernel_sc).values == equality_case_linear(linear_sc).values
 
 
+def test_float_kernel_equality_case_sums_its_generator_left_to_right():
+    # At the target (3, 1) the generator holds 1e16, 1.0 and -1e16, one
+    # per source row. Compensated summation (sum() from Python 3.12 on)
+    # would keep the 1.0; the left-to-right sum rounds it away on every
+    # Python version.
+    ts1, ts2 = integer_windows(4, 2, Mode.FLOAT)
+    one = GridFunction2.constant(ts1, ts2, 1.0)
+    row_values = {0.0: 1e16, 1.0: 1.0, 2.0: -1e16}
+    sc = BoundScenario(a=one, f=one, kernel=lambda t1, t2, s1, s2: row_values[s1])
+    u = equality_case_kernel(sc)
+    assert u.values[3][1] == 1.0 + (((0.0 + 1e16) + 1.0) + -1e16) == 1.0
+
+
 def test_kernel_equality_case_stays_below_the_kernel_bound():
     rng = random.Random(23)
     ts1, ts2 = integer_windows(5, 5)

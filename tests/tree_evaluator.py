@@ -1,6 +1,6 @@
 """Test-only reference: the direct tree-walking evaluator that the
-closure compiler in ``tsgronwall.exprlang`` replaced. The differential
-test holds the compiler to it, value for value and error for error."""
+compiler in ``tsgronwall.exprlang`` replaced. The differential test
+holds the compiler to it, value for value and error for error."""
 
 import math
 from fractions import Fraction
