@@ -22,6 +22,16 @@ read it. kernel_factor_values owns the tables of a separable kernel's
 factors: which targets and sources are read, whether the values
 qualify, and the fallback when a factor raises.
 
+Inside BoundScenario.shared_kernel_values() a scenario carries one kernel
+table. The direct path stores each target's kernel values there once the
+target completes, and kernel_factor_values stores its factor tables, so
+the bound, its equality case and cor31's thm4 cross-check on one
+scenario evaluate each kernel value once. The cost is memory: while the
+block lasts the direct path keeps O(pairs) values where it otherwise
+keeps O(n1), bounded by MAX_DIRECT_KERNEL_PAIRS. Outside the block
+nothing is kept, so a lone kernel sum pays neither the memory nor the
+time of storing values that nothing reads again.
+
 Exact mode and powers: p >= q > 0 puts the generator exponent q/p - 1
 in (-1, 0], and a**(q/p - 1) is exact only at 0, so exact power bounds
 need p = q (_require_exact_power), anything else raises ModeRequired.
@@ -37,7 +47,8 @@ take their roots and q-th powers from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
@@ -62,7 +73,10 @@ Factor2 = Callable[[Scalar, Scalar], Scalar]
 # kernel sum may read, one kernel call each. Measured on a 2-core Xeon
 # (Python 3.11) at about 1 us a pair in float mode and 10 us in exact
 # mode, so the cap is about 2 s or 20 s a pass; it admits square windows
-# up to 53 points a side.
+# up to 53 points a side. It also bounds a shared kernel table (see
+# BoundScenario.shared_kernel_values), which holds every pair's value: measured with tracemalloc on 30 x 30
+# windows, about 39 bytes a pair in float mode and 63 to 122 in exact
+# mode as the rationals grow, so about 80 MB or 125 to 245 MB at the cap.
 MAX_DIRECT_KERNEL_PAIRS = 2_000_000
 
 
@@ -83,6 +97,11 @@ class BoundScenario:
     p: Scalar = 1
     q: Scalar = 1
     kernel_terms: Optional[tuple[tuple[Factor2, Factor2], ...]] = None
+    # The kernel values read so far inside shared_kernel_values(), kept by
+    # kernel_generator (direct path, keyed by target) and
+    # kernel_factor_values (keyed by ("factors", skip_zero_f)); None
+    # outside it, and after dataclasses.replace.
+    _kernel_table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a.ts1 != self.f.ts1 or self.a.ts2 != self.f.ts2:
@@ -105,6 +124,20 @@ class BoundScenario:
     @property
     def mode(self) -> Mode:
         return self.a.mode
+
+    @contextmanager
+    def shared_kernel_values(self):
+        """Within the block, the kernel sums on this scenario (a kernel
+        bound, its equality case, cor31's thm4 cross-check) share one
+        kernel table and evaluate each kernel value at most once. The
+        direct path then holds every pair's value, up to
+        MAX_DIRECT_KERNEL_PAIRS of them, until the block ends; so enter it
+        only where a second kernel sum on the scenario follows."""
+        object.__setattr__(self, "_kernel_table", {})
+        try:
+            yield self
+        finally:
+            object.__setattr__(self, "_kernel_table", None)
 
     def power_exponent(self) -> Scalar:
         """q/p - 1, the exponent the power bounds apply to a inside the
@@ -305,9 +338,22 @@ def kernel_factor_values(sc: BoundScenario, skip_zero_f: bool):
     raises (the direct path raises it again, at its own place), or when a
     value is negative or not finite: the sum of products then gives no
     sign for the kernel flag and loses digits to cancellation in float
-    mode."""
+    mode. Inside sc.shared_kernel_values() the result, None included, is
+    kept in the scenario's kernel table, so the factors are read and the
+    fallback decided once."""
     if sc.kernel_terms is None:
         return None
+    table = sc._kernel_table
+    if table is None:
+        return _factor_values(sc, skip_zero_f)
+    key = ("factors", skip_zero_f)
+    if key not in table:
+        table[key] = _factor_values(sc, skip_zero_f)
+    return table[key]
+
+
+def _factor_values(sc: BoundScenario, skip_zero_f: bool):
+    """kernel_factor_values, computed."""
     n1, n2 = sc.a.shape
     pts1, pts2, f = sc.ts1.points, sc.ts2.points, sc.f.values
 
@@ -356,6 +402,15 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
     kernel itself, with kernel_value's mode check but not its domain
     guard, and raises KernelWorkTooLarge before its first call when the
     grid has more than MAX_DIRECT_KERNEL_PAIRS target-source pairs.
+
+    Inside sc.shared_kernel_values() both paths share the scenario's
+    kernel table with every other kernel sum on the same scenario. The
+    direct path stores a target's values, and whether any is negative,
+    only after the whole target is read, so an error leaves no entry and
+    a retry raises it again at the same pair. A target already stored is
+    summed from the table: its negative bit clears the kernel flag, and a
+    None coefficient raises where the stored value is nonzero, as a fresh
+    read would. Outside the block the direct path keeps no values.
     """
     zero_value = zero(sc.mode)
     factors = None
@@ -398,25 +453,51 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
         )
     pts1, pts2 = sc.ts1.points, sc.ts2.points
     kernel, mode, kind = sc.kernel, sc.mode, type(zero_value)
+    table = sc._kernel_table
+    keep = table is not None
 
     def direct(i_star, j_star, f_star):
+        gen = []
+        stored = table.get((i_star, j_star)) if keep else None
+        if stored is not None:
+            g_rows, negative = stored
+            if negative:
+                hyp["kernel_nonnegative"] = False
+            for g_row, row in zip(g_rows, coefficients):
+                s = zero_value
+                for c, g_val in zip(row, g_row):
+                    if c is not None:
+                        s += c * g_val
+                    elif g_val != 0:
+                        raise NonPositiveA(_NEEDS_POSITIVE_A)
+                gen.append(f_star * s)
+            return gen
         # Sources lie below the target, so the domain guard cannot fire.
         t1s, t2s = pts1[i_star], pts2[j_star]
         sources2 = pts2[:j_star]
-        gen = []
+        g_rows = []
+        negative = False
         for s1, row in zip(pts1[:i_star], coefficients):
             s = zero_value
+            g_row = []
             for c, s2 in zip(row, sources2):
                 g_val = kernel(t1s, t2s, s1, s2)
                 if type(g_val) is not kind:
                     g_val = require_mode(g_val, mode, "kernel value")
                 if g_val < 0:
-                    hyp["kernel_nonnegative"] = False
+                    negative = True
+                if keep:
+                    g_row.append(g_val)
                 if c is not None:
                     s += c * g_val
                 elif g_val != 0:
                     raise NonPositiveA(_NEEDS_POSITIVE_A)
+            g_rows.append(g_row)
             gen.append(f_star * s)
+        if negative:
+            hyp["kernel_nonnegative"] = False
+        if keep:
+            table[i_star, j_star] = (g_rows, negative)
         return gen
 
     return direct

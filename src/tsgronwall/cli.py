@@ -5,12 +5,13 @@ certification campaigns), ibvp (solve and estimate), example31 (the
 built-in worked example on the integer lattice). Exit codes: 0 on
 success and certified, 2 when a report comes back hypothesis-violated,
 1 on errors or verification failures, a certified bound that its oracle
-finds not dominating included.
+finds not dominating included, and on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .grid2 import GridFunction2
 from .ibvp import check_estimate
 from .numeric import Mode, format_scalar
 from .oracle import CAMPAIGN_THEOREMS, EQUALITY_CASES, check_domination, run_campaign
-from .timescale import TimeScale
+from .timescale import MAX_WINDOW_POINTS, TimeScale
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -74,12 +75,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_bound(args) -> int:
     scenario = config.load_scenario(args.config, mode_override=args.mode and Mode(args.mode))
-    report = compute_bound(scenario.theorem, scenario.bound_scenario)
-    oracle_result = None
     sc = scenario.bound_scenario
-    if scenario.run_oracle and sc.ts1.is_discrete and sc.ts2.is_discrete:
-        u_star = EQUALITY_CASES[scenario.theorem](sc)
-        oracle_result = check_domination(u_star, report)
+    run_oracle = scenario.run_oracle and sc.ts1.is_discrete and sc.ts2.is_discrete
+    oracle_result = None
+    # The equality case reads the bound's kernel values again.
+    with sc.shared_kernel_values() if run_oracle else contextlib.nullcontext():
+        report = compute_bound(scenario.theorem, sc)
+        if run_oracle:
+            u_star = EQUALITY_CASES[scenario.theorem](sc)
+            oracle_result = check_domination(u_star, report)
     if args.format == "csv":
         text = config.report_to_csv(report)
     else:
@@ -167,8 +171,33 @@ def cmd_example31(args) -> int:
     return EXIT_OK if all_match else EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on EXIT_ERROR: exit code 2 belongs to
+    hypothesis-violated reports. Subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _int_in(low: int, high: int | None):
+    """argparse type: an integer in [low, high] (no upper end if None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            span = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tsgronwall",
         description="Bounds, certification campaigns and the boundary problem "
         "for double-integral inequalities on time-scale windows.",
@@ -186,9 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a seeded certification campaign")
     p_verify.add_argument("--theorem", required=True, choices=CAMPAIGN_THEOREMS)
-    p_verify.add_argument("--cases", type=int, default=20)
+    p_verify.add_argument("--cases", type=_int_in(0, None), default=20)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--max-window", type=int, default=12)
+    p_verify.add_argument(
+        "--max-window", type=_int_in(2, MAX_WINDOW_POINTS), default=12,
+        help=f"largest window side, 2 to {MAX_WINDOW_POINTS}",
+    )
     p_verify.add_argument("--out", type=Path, default=None)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -375,14 +375,15 @@ def _run_case(theorem: str, rng: random.Random, case_index: int, max_window: int
     pairs, build = _CAMPAIGN_CASES[theorem]
     p, q = pairs[case_index % len(pairs)]
     sc = build(rng, max_window, p=p, q=q, mode=Mode.EXACT if p == q else Mode.FLOAT)
-    u = EQUALITY_CASES[theorem](sc)
-    report = compute_bound(theorem, sc)
-    result = check_domination(u, report)
-    ok = result.dominated
-    if theorem == "cor31":
-        other = thm4_bound(sc).values
-        for first, second in ((report.values, other), (other, report.values)):
-            ok = domination_summary(first, second, sc.mode)[0] and ok
+    with sc.shared_kernel_values():
+        u = EQUALITY_CASES[theorem](sc)
+        report = compute_bound(theorem, sc)
+        result = check_domination(u, report)
+        ok = result.dominated
+        if theorem == "cor31":
+            other = thm4_bound(sc).values
+            for first, second in ((report.values, other), (other, report.values)):
+                ok = domination_summary(first, second, sc.mode)[0] and ok
     return ok, [result]
 
 

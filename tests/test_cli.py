@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tsgronwall
 from tsgronwall import config
 from tsgronwall.bounds import MAX_DIRECT_KERNEL_PAIRS, kernel_generator
 from tsgronwall.cli import main
@@ -241,6 +247,37 @@ def test_cmd_bound_with_oracle_block(tmp_path):
     assert payload["oracle"]["u_star"][2][1] == "29/20"
 
 
+@pytest.mark.parametrize("oracle", [True, False])
+def test_cmd_bound_reads_each_kernel_value_once(tmp_path, monkeypatch, capsys, oracle):
+    # A kernel that does not split, so the direct path: with the oracle,
+    # the equality case reads the bound's values from the shared table.
+    doc = {
+        **EXAMPLE_CONFIG, "theorem": "thm2", "f": "1/8 + t1*t2/16",
+        "scale1": {"kind": "integers", "a": "0", "b": "5"},
+        "scale2": {"kind": "integers", "a": "0", "b": "4"},
+        "kernel_g": "min(t - tau + 1, s - xi + 1)/30", "oracle": oracle,
+    }
+    calls = []
+    load = config.load_scenario
+
+    def counted_load(*args, **kwargs):
+        scenario = load(*args, **kwargs)
+        sc = scenario.bound_scenario
+        assert sc.kernel_terms is None
+
+        def counted(*point):
+            calls.append(point)
+            return sc.kernel(*point)
+
+        return dataclasses.replace(scenario, bound_scenario=dataclasses.replace(sc, kernel=counted))
+
+    monkeypatch.setattr(config, "load_scenario", counted_load)
+    assert main(["bound", str(write_config(tmp_path, doc))]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["oracle"] is not None) is oracle
+    assert len(calls) == len(set(calls)) == (6 * 5 // 2) * (5 * 4 // 2)
+
+
 def test_cmd_bound_zero_weight_equals_the_offset(tmp_path):
     doc = {**EXAMPLE_CONFIG, "f": "0", "a": "t1+t2+1"}
     out = tmp_path / "report.json"
@@ -314,6 +351,45 @@ def test_cmd_verify_output_is_stable(capsys):
     first = capsys.readouterr().out
     assert main(["verify", "--theorem", "thm2", "--cases", "3", "--seed", "5"]) == 0
     assert capsys.readouterr().out == first
+
+
+def run_cli(*argv):
+    """The CLI as its own process, so a crash shows as a traceback."""
+    env = dict(os.environ)
+    src = str(Path(tsgronwall.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "tsgronwall", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("verify", "--theorem", "thm2", "--cases", "-1"), "argument --cases"),
+    (("verify", "--theorem", "thm2", "--max-window", "1"), "argument --max-window"),
+    (("verify", "--theorem", "thm4", "--cases", "1", "--max-window", "100000"),
+     "argument --max-window"),
+    (("verify", "--theorem", "thm9"), "argument --theorem"),
+    (("bound",), "config"),
+], ids=["negative-cases", "window-too-small", "window-too-large", "unknown-theorem",
+        "bound-without-path"])
+def test_usage_errors_exit_1_without_a_traceback(argv, named):
+    done = run_cli(*argv)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert named in done.stderr.strip().splitlines()[-1]
+
+
+def test_help_still_exits_0():
+    done = run_cli("verify", "--help")
+    assert done.returncode == 0
+    assert "--max-window" in done.stdout
+
+
+def test_max_window_at_the_window_cap_is_accepted(capsys):
+    assert main(["verify", "--theorem", "thm1", "--cases", "0", "--max-window", "10000"]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"] == 0
 
 
 IBVP_CONFIG = {

@@ -293,6 +293,33 @@ def test_campaigns_smoke():
         assert summary.cases == 6
 
 
+@pytest.mark.parametrize("theorem", ["thm2", "thm4", "cor31"])
+def test_campaign_cases_read_each_kernel_value_once(theorem, monkeypatch):
+    # A campaign case runs the equality case, the bound and, for cor31,
+    # thm4 on one scenario; together they read each kernel value once.
+    pairs, build = oracle._CAMPAIGN_CASES[theorem]
+    counts = []
+
+    def counted_build(*args, **kwargs):
+        sc = build(*args, **kwargs)
+        assert sc.kernel_terms is None
+        calls = []
+        counts.append((sc, calls))
+
+        def counted(*point):
+            calls.append(point)
+            return sc.kernel(*point)
+
+        return dataclasses.replace(sc, kernel=counted)
+
+    monkeypatch.setitem(oracle._CAMPAIGN_CASES, theorem, (pairs, counted_build))
+    assert run_campaign(theorem, 3, seed=1, max_window=6).failures == 0
+    assert len(counts) == 3
+    for sc, calls in counts:
+        n1, n2 = sc.a.shape
+        assert len(calls) == len(set(calls)) == n1 * (n1 - 1) // 2 * (n2 * (n2 - 1) // 2)
+
+
 def test_campaign_zero_cases_is_empty():
     summary = run_campaign("thm1", 0, seed=1)
     assert summary.cases == 0

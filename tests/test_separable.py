@@ -5,6 +5,11 @@ factor split exactly as the CLI builds it. Each one runs twice: with a
 counting wrapper around the kernel (the separable path when its factors
 qualify) and with kernel_terms removed (the direct path). A run that
 never calls the kernel took the separable path.
+
+The last section covers the scenario's kernel table: inside
+BoundScenario.shared_kernel_values() every kernel sum on one scenario
+reads each kernel value, and each factor table, once; outside it nothing
+is kept.
 """
 
 import dataclasses
@@ -16,8 +21,15 @@ import pytest
 
 from kernel_reference import reference_equality_case_kernel
 from tsgronwall import config
-from tsgronwall.bounds import BoundScenario, compute_bound
-from tsgronwall.errors import DivisionByZero, NonPositiveA
+from tsgronwall.bounds import (
+    BoundScenario,
+    compute_bound,
+    cor31_bound,
+    kernel_factor_values,
+    thm2_bound,
+    thm4_bound,
+)
+from tsgronwall.errors import DivisionByZero, KernelDomain, NonPositiveA
 from tsgronwall.exprlang import MAX_TERMS, compile_separable, parse, separate, to_source
 from tsgronwall.numeric import Mode
 from tsgronwall.oracle import equality_case_kernel, random_kernel_scenario
@@ -294,3 +306,225 @@ def test_equality_case_matches_the_brute_force_reference(theorem, mode, p, q, na
         assert solved == tuple(tuple(row) for row in reference)
     else:
         assert_values_match(solved, reference, sc.mode)
+
+
+# -- the scenario's kernel table ----------------------------------------
+
+
+def _pairs(sc):
+    n1, n2 = sc.a.shape
+    return n1 * (n1 - 1) // 2 * (n2 * (n2 - 1) // 2)
+
+
+def _python_scenario(theorem, mode, kernel, f=F_GRIDS["positive"], p="1", q="1",
+                     a="1 + t1/2 + t2/4"):
+    """A scenario of `load` with a Python kernel, so the direct path."""
+    sc = load(theorem, mode, "1", f, p, q, a=a)
+    return dataclasses.replace(sc, kernel=kernel, kernel_terms=None)
+
+
+@pytest.mark.parametrize("theorem,readers", [
+    ("thm2", (thm2_bound, equality_case_kernel)),
+    ("cor31", (equality_case_kernel, cor31_bound, thm4_bound)),
+])
+@pytest.mark.parametrize("f_name", sorted(F_GRIDS))
+def test_each_kernel_value_is_evaluated_once_per_scenario(theorem, readers, f_name):
+    kernel, calls = counting(_python_kernel)
+    sc = _python_scenario(theorem, "exact", kernel, f=F_GRIDS[f_name])
+    with sc.shared_kernel_values():
+        for read in readers:
+            read(sc)
+        assert sc._kernel_table
+    assert len(calls) == len(set(calls)) == _pairs(sc)
+    assert sc._kernel_table is None
+
+
+@pytest.mark.parametrize("readers", [(thm2_bound,), (thm2_bound, equality_case_kernel)])
+def test_outside_the_block_each_kernel_sum_reads_afresh_and_keeps_nothing(readers):
+    kernel, calls = counting(_python_kernel)
+    sc = _python_scenario("thm2", "exact", kernel)
+    for read in readers:
+        read(sc)
+        assert sc._kernel_table is None
+    assert len(calls) == len(readers) * _pairs(sc)
+
+
+def test_the_block_drops_its_table_on_exit():
+    kernel, calls = counting(_python_kernel)
+    sc = _python_scenario("thm2", "exact", kernel)
+    with pytest.raises(RuntimeError):
+        with sc.shared_kernel_values() as shared:
+            assert shared is sc
+            thm2_bound(sc)
+            equality_case_kernel(sc)
+            assert sc._kernel_table
+            raise RuntimeError
+    assert sc._kernel_table is None
+    assert len(calls) == _pairs(sc)
+    with sc.shared_kernel_values():
+        thm2_bound(sc)
+    assert len(calls) == 2 * _pairs(sc)
+
+
+def _counted_terms(sc):
+    calls = []
+
+    def counted(factor):
+        def wrapped(*args):
+            calls.append(args)
+            return factor(*args)
+        return wrapped
+
+    terms = tuple((counted(phi), counted(psi)) for phi, psi in sc.kernel_terms)
+    return dataclasses.replace(sc, kernel_terms=terms), calls
+
+
+@pytest.mark.parametrize("name", ["sep-poly", "negative-factor"])
+def test_factor_tables_are_built_once_per_scenario(name):
+    # negative-factor keeps its None: the fallback is decided once, and
+    # the direct path then reads each kernel value once too.
+    sc, calls = _counted_terms(load("thm2", "exact", KERNELS[name][0], "1/1000", "1", "1"))
+    kernel, kernel_calls = counting(sc.kernel)
+    sc = dataclasses.replace(sc, kernel=kernel)
+    with sc.shared_kernel_values():
+        thm2_bound(sc)
+        first = len(calls)
+        assert first > 0
+        equality_case_kernel(sc)
+        assert kernel_factor_values(sc, False) is kernel_factor_values(sc, False)
+    assert len(calls) == first
+    assert len(kernel_calls) == (_pairs(sc) if KERNELS[name][1] == "fallback" else 0)
+
+
+def _bits(values, mode):
+    """Values as compared here: exact ones as they are, floats bit for bit."""
+    if mode is Mode.EXACT:
+        return values
+    return tuple(tuple(v.hex() for v in row) for row in values)
+
+
+@pytest.mark.parametrize("theorem,mode,p,q,name", [
+    (theorem, mode, p, q, name)
+    for theorem, p, q in (("thm2", "1", "1"), ("thm4", "2", "2"), ("cor31", "1", "1"))
+    for mode in ("exact", "float")
+    for name in ("min", "max", "sqrt")
+    if not (mode == "exact" and name == "sqrt")
+] + [("thm4", "float", "2", "1", name) for name in ("min", "max", "sqrt")])
+@pytest.mark.parametrize("f_name", sorted(F_GRIDS))
+def test_shared_table_gives_the_values_and_flags_of_fresh_scenarios(
+    theorem, mode, p, q, name, f_name
+):
+    kernel_g = KERNELS[name][0]
+
+    def fresh():
+        return load(theorem, mode, kernel_g, F_GRIDS[f_name], p, q)
+
+    shared = fresh()
+    assert shared.kernel_terms is None
+    steps = [equality_case_kernel, lambda s: compute_bound(theorem, s)]
+    if theorem == "cor31":
+        steps.append(thm4_bound)
+    with shared.shared_kernel_values():
+        for order in (steps, steps[::-1]):
+            for step in order:
+                got, want = step(shared), step(fresh())
+                assert _bits(got.values, shared.mode) == _bits(want.values, shared.mode)
+                if hasattr(got, "hypotheses"):
+                    assert got.hypotheses == want.hypotheses
+
+
+def test_a_stored_negative_value_at_a_zero_weight_target_leaves_thm4_nonnegative():
+    # The kernel is negative only at the targets t = 1, where f = 0. The
+    # equality case reads them and stores the values; thm4 skips those
+    # targets, thm2 does not.
+    unit = {"kind": "sequence", "t0": "0", "alphas": ["1"] * 4}
+    doc = {
+        "theorem": "thm4", "mode": "exact", "scale1": unit, "scale2": unit,
+        "a": "1", "f": "max(t1 - 1, 0)", "kernel_g": "max(t - 3/2, t - 3/2 + tau*xi)",
+    }
+    sc = config.load_scenario(doc).bound_scenario
+    assert sc.kernel_terms is None
+    with sc.shared_kernel_values():
+        equality_case_kernel(sc)
+        assert thm4_bound(sc).hypotheses["kernel_nonnegative"] is True
+        assert cor31_bound(sc).hypotheses["kernel_nonnegative"] is True
+        assert thm2_bound(sc).hypotheses["kernel_nonnegative"] is False
+        assert thm4_bound(sc).hypotheses["kernel_nonnegative"] is True
+
+
+def test_a_kernel_error_mid_target_leaves_no_entry_and_repeats():
+    bad = (3, 2, 1, 0)  # target (3, 2), its third source
+
+    def kernel(*args):
+        if args == bad:
+            raise KernelDomain("no value at (3, 2, 1, 0)")
+        return _python_kernel(*args)
+
+    sc = _python_scenario("thm2", "exact", kernel)
+    errors = []
+    with sc.shared_kernel_values():
+        for _ in range(2):
+            with pytest.raises(KernelDomain) as caught:
+                thm2_bound(sc)
+            errors.append(str(caught.value))
+            assert (3, 2) not in sc._kernel_table
+            assert (3, 1) in sc._kernel_table
+    assert errors == ["no value at (3, 2, 1, 0)"] * 2
+
+
+def test_a_missing_coefficient_raises_before_a_later_kernel_error():
+    # Float thm4 with p = 2, q = 1 and a = 0 at the source (0, 0) only:
+    # that source has no coefficient. At the target (2, 2) the kernel is
+    # nonzero there and raises at the next source, (0, 1).
+    def kernel(t1, t2, s1, s2):
+        if (t1, t2) != (2.0, 2.0):
+            return 0.0
+        if (s1, s2) == (0.0, 1.0):
+            raise KernelDomain("no value at (2, 2, 0, 1)")
+        return 1.0
+
+    def scenario():
+        return _python_scenario("thm4", "float", kernel, p="2", q="1", a="t1 + t2")
+
+    for sc in (scenario(), scenario()):
+        with pytest.raises(NonPositiveA, match="negative power"):
+            thm4_bound(sc)
+        with sc.shared_kernel_values():
+            with pytest.raises(NonPositiveA, match="negative power"):
+                thm4_bound(sc)
+            assert (2, 2) not in sc._kernel_table
+    # Read back from the table, the values raise the same error.
+    sc = scenario()
+    sc = dataclasses.replace(sc, kernel=lambda t1, t2, s1, s2: 1.0)
+    with sc.shared_kernel_values():
+        thm2_bound(sc)
+        assert (2, 2) in sc._kernel_table
+        with pytest.raises(NonPositiveA, match="negative power"):
+            thm4_bound(sc)
+
+
+def test_the_table_is_not_part_of_the_scenario_value():
+    kernel, calls = counting(_python_kernel)
+    sc = _python_scenario("thm2", "exact", kernel)
+    twin = dataclasses.replace(sc)
+    before = repr(sc)
+
+    def doubled(*args):
+        return 2 * _python_kernel(*args)
+
+    other, other_calls = counting(doubled)
+    with sc.shared_kernel_values():
+        thm2_bound(sc)
+        assert sc._kernel_table and twin._kernel_table is None
+        assert sc == twin and hash(sc) == hash(twin) and repr(sc) == before == repr(twin)
+        swapped = dataclasses.replace(sc, kernel=other)
+        assert swapped._kernel_table is None
+        with swapped.shared_kernel_values():
+            assert not swapped._kernel_table
+            swapped_values = thm2_bound(swapped).values
+    assert "_kernel_table" not in before
+    fresh = _python_scenario("thm2", "exact", doubled)
+    assert swapped_values == thm2_bound(fresh).values
+    assert len(other_calls) == _pairs(sc)
+    with pytest.raises(TypeError):
+        BoundScenario(a=sc.a, f=sc.f, _kernel_table={})
