@@ -16,21 +16,20 @@ Two loops compute them all: _linear_core runs thm1-in2, thm1-in6 (the
 axes swapped) and thm3; _kernel_bound_values runs thm2, thm4 and cor31.
 kernel_generator is the one kernel sum: at a target, the per-row sums
 over the sources below it of coefficient * kernel value. It alone picks
-between the separable prefix-sum path and the direct double sum, and
-the kernel bounds here and the kernel equality case in the oracle both
-read it. kernel_factor_values owns the tables of a separable kernel's
-factors: which targets and sources are read, whether the values
-qualify, and the fallback when a factor raises.
+between the separable prefix-sum path and the direct double sum and
+skips the f = 0 targets of thm4 and cor31; the kernel bounds here and
+the kernel equality case in the oracle both read it.
 
 Inside BoundScenario.shared_kernel_values() a scenario carries one kernel
-table. The direct path stores each target's kernel values there once the
-target completes, and kernel_factor_values stores its factor tables, so
-the bound, its equality case and cor31's thm4 cross-check on one
-scenario evaluate each kernel value once. The cost is memory: while the
-block lasts the direct path keeps O(pairs) values where it otherwise
-keeps O(n1), bounded by MAX_DIRECT_KERNEL_PAIRS. Outside the block
-nothing is kept, so a lone kernel sum pays neither the memory nor the
-time of storing values that nothing reads again.
+table of the direct path's values, stored per target once the target
+completes, so the bound, its equality case and cor31's thm4 cross-check
+on one scenario evaluate each kernel value once. The cost is memory:
+while the block lasts the direct path keeps O(pairs) values where it
+otherwise keeps O(n1), bounded by MAX_DIRECT_KERNEL_PAIRS. Outside the
+block it keeps none, so a lone kernel sum pays neither the memory nor
+the time of storing values that nothing reads again. A separable
+kernel's factors are only O(n1 * n2 * r) values, the size of the grids,
+so the scenario keeps them for life (BoundScenario._factor_table).
 
 Exact mode and powers: p >= q > 0 puts the generator exponent q/p - 1
 in (-1, 0], and a**(q/p - 1) is exact only at 0, so exact power bounds
@@ -49,6 +48,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import (
@@ -80,6 +80,12 @@ Factor2 = Callable[[Scalar, Scalar], Scalar]
 MAX_DIRECT_KERNEL_PAIRS = 2_000_000
 
 
+def _direct_kernel_pairs(n1: int, n2: int) -> int:
+    """The target-source pairs the direct kernel sum reads on n1 x n2
+    points, the count MAX_DIRECT_KERNEL_PAIRS caps."""
+    return n1 * (n1 - 1) // 2 * (n2 * (n2 - 1) // 2)
+
+
 @dataclass(frozen=True)
 class BoundScenario:
     """Shared bound inputs: offset grid a, weight grid f, an optional
@@ -97,10 +103,9 @@ class BoundScenario:
     p: Scalar = 1
     q: Scalar = 1
     kernel_terms: Optional[tuple[tuple[Factor2, Factor2], ...]] = None
-    # The kernel values read so far inside shared_kernel_values(), kept by
-    # kernel_generator (direct path, keyed by target) and
-    # kernel_factor_values (keyed by ("factors", skip_zero_f)); None
-    # outside it, and after dataclasses.replace.
+    # The direct path's kernel values read so far inside
+    # shared_kernel_values(), keyed by target; None outside it, and after
+    # dataclasses.replace. Factors live in _factor_table instead.
     _kernel_table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -138,6 +143,40 @@ class BoundScenario:
             yield self
         finally:
             object.__setattr__(self, "_kernel_table", None)
+
+    @cached_property
+    def _factor_table(self):
+        """The separable kernel's factors, read on first use and kept for
+        the scenario's life (see the module docstring): phi[i][j] holds the
+        phi_k(t1_i, t2_j) at each target with i, j >= 1 (None in row and
+        column 0), psi[i][j] the psi_k at each source (i < n1 - 1, j < n2 -
+        1). A target whose factors raise, or are negative or not finite,
+        holds None; kernel_generator takes the direct path when it reads
+        one. That path raises the error again at its own place, and a
+        negative or non-finite factor gives no sign for the kernel flag and
+        loses digits to cancellation in float mode. None without
+        kernel_terms, or when any source fails so: the separable path sums
+        every source."""
+        if self.kernel_terms is None:
+            return None
+        n1, n2 = self.a.shape
+        pts1, pts2 = self.ts1.points, self.ts2.points
+
+        def factors(side, i, j):
+            try:
+                values = tuple(term[side](pts1[i], pts2[j]) for term in self.kernel_terms)
+            except (TsgronwallError, ArithmeticError):
+                return None
+            return values if all(0 <= v < math.inf for v in values) else None
+
+        psi = [[factors(1, i, j) for j in range(n2 - 1)] for i in range(n1 - 1)]
+        if any(None in row for row in psi):
+            return None
+        phi = [
+            [None if i == 0 or j == 0 else factors(0, i, j) for j in range(n2)]
+            for i in range(n1)
+        ]
+        return phi, psi
 
     def power_exponent(self) -> Scalar:
         """q/p - 1, the exponent the power bounds apply to a inside the
@@ -330,52 +369,6 @@ def _best_linear_of(sc: BoundScenario, r2: BoundReport, r6: BoundReport) -> Boun
     )
 
 
-def kernel_factor_values(sc: BoundScenario, skip_zero_f: bool):
-    """The separable kernel's factor tables as row lists: phi[i][j] holds
-    the phi_k(t1_i, t2_j) at each target (i, j >= 1, minus f = 0 with
-    `skip_zero_f`; None elsewhere), psi[i][j] the psi_k at each source
-    (i < n1 - 1, j < n2 - 1). None without kernel_terms, when a factor
-    raises (the direct path raises it again, at its own place), or when a
-    value is negative or not finite: the sum of products then gives no
-    sign for the kernel flag and loses digits to cancellation in float
-    mode. Inside sc.shared_kernel_values() the result, None included, is
-    kept in the scenario's kernel table, so the factors are read and the
-    fallback decided once."""
-    if sc.kernel_terms is None:
-        return None
-    table = sc._kernel_table
-    if table is None:
-        return _factor_values(sc, skip_zero_f)
-    key = ("factors", skip_zero_f)
-    if key not in table:
-        table[key] = _factor_values(sc, skip_zero_f)
-    return table[key]
-
-
-def _factor_values(sc: BoundScenario, skip_zero_f: bool):
-    """kernel_factor_values, computed."""
-    n1, n2 = sc.a.shape
-    pts1, pts2, f = sc.ts1.points, sc.ts2.points, sc.f.values
-
-    def factors(side, i, j):
-        return tuple(term[side](pts1[i], pts2[j]) for term in sc.kernel_terms)
-
-    try:
-        phi = [
-            [
-                None if i == 0 or j == 0 or (skip_zero_f and f[i][j] == 0) else factors(0, i, j)
-                for j in range(n2)
-            ]
-            for i in range(n1)
-        ]
-        psi = [[factors(1, i, j) for j in range(n2 - 1)] for i in range(n1 - 1)]
-    except (TsgronwallError, ArithmeticError):
-        return None
-    if all(0 <= v < math.inf for row in phi + psi for vs in row if vs is not None for v in vs):
-        return phi, psi
-    return None
-
-
 def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: dict):
     """The kernel sum behind the kernel bounds and their equality case.
 
@@ -385,12 +378,15 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
     holds one list per source row and may still grow, because a target
     reads only the rows below it. A None coefficient marks a source whose
     weight does not exist (a zero offset under a negative power); reading
-    it where the kernel is nonzero raises NonPositiveA. `skip_zero_f` is
-    passed on to kernel_factor_values.
+    it where the kernel is nonzero raises NonPositiveA. With `skip_zero_f`
+    (thm4, cor31) a target where f* = 0 gets the zero generator: no kernel
+    value is read there and its factors need not qualify, so nothing there
+    can clear the kernel flag or refuse the separable path. thm2 and the
+    equality case read every target.
 
-    This is the one place that picks a path. When the kernel's factors
-    qualify (see kernel_factor_values) and no coefficient is None, entry
-    i is sum_k f* phi_k(t*) R_k[i][j*], where R_k holds per-row prefix
+    This is the one place that picks a path. When no coefficient is None
+    and sc._factor_table holds factors at every target read, entry i is
+    sum_k f* phi_k(t*) R_k[i][j*], where R_k holds per-row prefix
     sums of coefficient * psi_k, built as the rows arrive: O(n1 * n2 * r)
     factor calls and O(n1^2 * n2 * r) arithmetic over the grid. Every
     factor is nonnegative, so the kernel flag stays true. Otherwise each
@@ -403,9 +399,9 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
     guard, and raises KernelWorkTooLarge before its first call when the
     grid has more than MAX_DIRECT_KERNEL_PAIRS target-source pairs.
 
-    Inside sc.shared_kernel_values() both paths share the scenario's
-    kernel table with every other kernel sum on the same scenario. The
-    direct path stores a target's values, and whether any is negative,
+    Inside sc.shared_kernel_values() the direct path shares the
+    scenario's kernel table with every other kernel sum on the same
+    scenario. It stores a target's values, and whether any is negative,
     only after the whole target is read, so an error leaves no entry and
     a retry raises it again at the same pair. A target already stored is
     summed from the table: its negative bit clears the kernel flag, and a
@@ -413,10 +409,16 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
     read would. Outside the block the direct path keeps no values.
     """
     zero_value = zero(sc.mode)
+    n1, n2 = sc.a.shape
+    f = sc.f.values
     factors = None
     if all(c is not None for row in coefficients for c in row):
-        factors = kernel_factor_values(sc, skip_zero_f)
-    if factors is not None:
+        factors = sc._factor_table
+    if factors is not None and all(
+        factors[0][i][j] is not None
+        for i in range(1, n1) for j in range(1, n2)
+        if not (skip_zero_f and f[i][j] == 0)
+    ):
         phi_at, psi_at = factors
         prefix = []
 
@@ -431,7 +433,7 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
                     row.append(tuple(acc))
                 prefix.append(row)
             phis = phi_at[i_star][j_star]
-            if phis is None:
+            if phis is None:  # row 0, column 0 or a skipped f* = 0 target
                 return [f_star * zero_value] * i_star
             scaled = [f_star * phi for phi in phis]
             gen = []
@@ -444,8 +446,7 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
 
         return separable
 
-    n1, n2 = sc.a.shape
-    pairs = n1 * (n1 - 1) // 2 * (n2 * (n2 - 1) // 2)
+    pairs = _direct_kernel_pairs(n1, n2)
     if pairs > MAX_DIRECT_KERNEL_PAIRS:
         raise KernelWorkTooLarge(
             f"the direct kernel sum on {n1} x {n2} points reads {pairs} target-source "
@@ -457,6 +458,8 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
     keep = table is not None
 
     def direct(i_star, j_star, f_star):
+        if skip_zero_f and f_star == 0:
+            return [zero_value] * i_star
         gen = []
         stored = table.get((i_star, j_star)) if keep else None
         if stored is not None:
@@ -512,10 +515,8 @@ def _kernel_bound_values(sc: BoundScenario, hyp, weights, expo, product, outer, 
     g(t*; s) * a(s)**expo (expo falsy: no offset weight), read from
     kernel_generator with the coefficients weights[jj] * a(s)**expo,
     formed once per source. `product(i*, gen)` is the exponential and
-    `outer(a(t*), e)` the bound. With `skip_zero_f` the targets where
-    f(t*) = 0 get a zero generator and their kernel values are never
-    read, so they cannot clear the kernel_nonnegative flag this sets in
-    `hyp`.
+    `outer(a(t*), e)` the bound. `skip_zero_f` goes to kernel_generator,
+    which may clear the kernel_nonnegative flag this sets in `hyp`.
     """
     n1, n2 = sc.a.shape
     a, f = sc.a.values, sc.f.values
@@ -531,15 +532,10 @@ def _kernel_bound_values(sc: BoundScenario, hyp, weights, expo, product, outer, 
     else:
         coefficients = [weights] * (n1 - 1)
     generator = kernel_generator(sc, coefficients, skip_zero_f, hyp)
-    zero_value = zero(sc.mode)
     out = [[None] * n2 for _ in range(n1)]
     for i_star in range(n1):
         for j_star in range(n2):
-            f_star = f[i_star][j_star]
-            if skip_zero_f and f_star == 0:
-                gen = [zero_value] * i_star
-            else:
-                gen = generator(i_star, j_star, f_star)
+            gen = generator(i_star, j_star, f[i_star][j_star])
             out[i_star][j_star] = outer(a[i_star][j_star], product(i_star, gen))
     return tuple(tuple(r) for r in out)
 

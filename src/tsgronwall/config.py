@@ -103,7 +103,7 @@ def parse_timescale(record: dict, mode: Mode) -> TimeScale:
                 parse_scalar(_require_key(record, "step"), Mode.FLOAT),
                 int(_require_key(record, "count")),
             )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {kind} scale: {exc}") from exc
     raise ConfigError(f"unknown scale kind {kind!r}")
 
@@ -142,6 +142,14 @@ def _grid_from_table(table: dict, ts1: TimeScale, ts2: TimeScale, mode: Mode) ->
     )
 
 
+def _expression(doc: dict, key: str) -> str:
+    """The expression string under `key`, which must be present."""
+    source = _require_key(doc, key)
+    if not isinstance(source, str):
+        raise ConfigError(f"{key!r} must be an expression string")
+    return source
+
+
 def parse_kernel(source: str, mode: Mode):
     try:
         return compile_fn(source, _KERNEL_VARIABLES, mode)
@@ -165,9 +173,10 @@ def load_scenario(doc, mode_override: Optional[Mode] = None) -> Scenario:
     f = parse_grid(_require_key(doc, "f"), ts1, ts2, mode)
     kernel = kernel_terms = None
     if "kernel_g" in doc:
-        kernel = parse_kernel(doc["kernel_g"], mode)
+        source = _expression(doc, "kernel_g")
+        kernel = parse_kernel(source, mode)
         kernel_terms = compile_separable(
-            doc["kernel_g"], _KERNEL_VARIABLES[:2], _KERNEL_VARIABLES[2:], mode
+            source, _KERNEL_VARIABLES[:2], _KERNEL_VARIABLES[2:], mode
         )
     elif theorem in _KERNEL_THEOREMS:
         raise ConfigError(f"{theorem} needs a 'kernel_g' expression")
@@ -191,9 +200,9 @@ def load_ibvp(doc) -> IbvpProblem:
     ts1 = parse_timescale(_require_key(doc, "scale1"), Mode.FLOAT)
     ts2 = parse_timescale(_require_key(doc, "scale2"), Mode.FLOAT)
     try:
-        g = compile_fn(_require_key(doc, "g"), ("t1",), Mode.FLOAT)
-        h = compile_fn(_require_key(doc, "h"), ("t2",), Mode.FLOAT)
-        F = compile_fn(_require_key(doc, "F"), ("t1", "t2", "u"), Mode.FLOAT)
+        g = compile_fn(_expression(doc, "g"), ("t1",), Mode.FLOAT)
+        h = compile_fn(_expression(doc, "h"), ("t2",), Mode.FLOAT)
+        F = compile_fn(_expression(doc, "F"), ("t1", "t2", "u"), Mode.FLOAT)
     except (ExprError, ValueError) as exc:
         raise ConfigError(f"bad ibvp expression: {exc}") from exc
     try:

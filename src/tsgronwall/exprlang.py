@@ -57,6 +57,7 @@ from fractions import Fraction
 from .errors import (
     DivisionByZero,
     ExprSyntaxError,
+    FloatOverflow,
     NegativeSqrt,
     TsgronwallError,
     UnknownVariable,
@@ -286,7 +287,6 @@ def parse(source: str, variables=()) -> Expr:
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-_ATOM_PREC = 5
 
 
 def _format_literal(value: Fraction) -> str:
@@ -421,7 +421,12 @@ class _Codegen:
         """Source text for node, or _Const when the node holds no name
         and evaluating it in this mode raises nothing."""
         if isinstance(node, Lit):
-            return _Const(Fraction(node.value) if self.mode is Mode.EXACT else float(node.value))
+            if self.mode is Mode.EXACT:
+                return _Const(Fraction(node.value))
+            try:
+                return _Const(float(node.value))
+            except OverflowError:
+                raise FloatOverflow(f"literal {node.value} overflows the float64 range") from None
         if isinstance(node, Var):
             return self.read(node.name)
         if isinstance(node, Neg):

@@ -69,12 +69,18 @@ def one(mode: Mode) -> Scalar:
 
 
 def parse_scalar(text, mode: Mode = Mode.EXACT) -> Scalar:
-    """Parse "3", "-1/4" or "0.25"; decimal literals are read exactly."""
+    """Parse "3", "-1/4" or "0.25"; decimal literals are read exactly.
+    In float mode a value past the float64 range raises ValueError."""
     try:
         value = Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse scalar from {text!r}") from exc
-    return value if mode is Mode.EXACT else float(value)
+    if mode is Mode.EXACT:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{text!r} is outside the float64 range") from None
 
 
 def format_scalar(value: Scalar) -> str:

@@ -33,9 +33,11 @@ from functools import partial
 from typing import Optional
 
 from .bounds import (
+    MAX_DIRECT_KERNEL_PAIRS,
     BoundReport,
     BoundScenario,
     _best_linear_of,
+    _direct_kernel_pairs,
     _require_a_not_negative,
     _require_exact_power,
     compute_bound,
@@ -44,7 +46,7 @@ from .bounds import (
     thm1_bound_in6,
     thm4_bound,
 )
-from .errors import GridMismatch, NonPositiveA, NotDiscrete
+from .errors import GridMismatch, KernelWorkTooLarge, NonPositiveA, NotDiscrete
 from .grid2 import GridFunction2, sweep2
 from .numeric import Mode, Scalar, zero
 from .timescale import TimeScale
@@ -389,11 +391,26 @@ def _run_case(theorem: str, rng: random.Random, case_index: int, max_window: int
 
 def run_campaign(theorem: str, cases: int, seed: int, max_window: int = 12) -> CampaignSummary:
     """Run `cases` seeded scenarios and count the ones where any checked
-    bound failed to dominate its equality-case solution."""
+    bound failed to dominate its equality-case solution.
+
+    The kernel campaigns (thm2, thm4, cor31) draw Python kernels, which
+    take the direct kernel sum, so a `max_window` whose square window
+    passes MAX_DIRECT_KERNEL_PAIRS raises KernelWorkTooLarge before the
+    first case rather than at the first large one."""
     if theorem not in CAMPAIGN_THEOREMS:
         raise ValueError(f"unknown campaign theorem {theorem!r}")
     if cases < 0:
         raise ValueError("cases must be nonnegative")
+    side = max_window
+    kernel = theorem in ("thm2", "thm4", "cor31")
+    while kernel and _direct_kernel_pairs(side, side) > MAX_DIRECT_KERNEL_PAIRS:
+        side -= 1
+    if side < max_window:
+        raise KernelWorkTooLarge(
+            f"a {theorem} campaign with window sides up to {max_window} may draw "
+            f"{max_window} x {max_window} points, past MAX_DIRECT_KERNEL_PAIRS "
+            f"({MAX_DIRECT_KERNEL_PAIRS}); the largest side it allows is {side}"
+        )
     rng = random.Random(seed)
     failures = 0
     worst = None

@@ -392,6 +392,24 @@ def test_max_window_at_the_window_cap_is_accepted(capsys):
     assert json.loads(capsys.readouterr().out)["cases"] == 0
 
 
+@pytest.mark.parametrize("theorem, window", [("thm2", 200), ("thm4", 54), ("cor31", 54)])
+def test_kernel_campaigns_refuse_a_window_past_the_pair_cap_at_once(capsys, theorem, window):
+    start = time.perf_counter()
+    assert main(["verify", "--theorem", theorem, "--cases", "3", "--max-window", str(window)]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("the largest side it allows is 53\n")
+
+
+@pytest.mark.parametrize("theorem, window", [
+    ("thm2", 53), ("thm4", 53), ("cor31", 53), ("thm1", 200), ("thm3", 200),
+])
+def test_only_kernel_campaigns_are_capped_by_the_pair_cap(capsys, theorem, window):
+    assert main(["verify", "--theorem", theorem, "--cases", "0", "--max-window", str(window)]) == 0
+    assert json.loads(capsys.readouterr().out)["cases"] == 0
+
+
 IBVP_CONFIG = {
     "g": "t1",
     "h": "t2^2",
@@ -399,6 +417,25 @@ IBVP_CONFIG = {
     "scale1": {"kind": "integers", "h": "1", "a": "0", "b": "7"},
     "scale2": {"kind": "integers", "h": "1", "a": "0", "b": "7"},
 }
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("bound", {**EXAMPLE_CONFIG, "kernel_g": None}),
+    ("bound", {**EXAMPLE_CONFIG, "theorem": "thm2", "kernel_g": 3}),
+    ("ibvp", {**IBVP_CONFIG, "g": None}),
+    ("ibvp", {**IBVP_CONFIG, "h": 3}),
+    ("ibvp", {**IBVP_CONFIG, "F": ["t2*u"]}),
+    ("bound", {**EXAMPLE_CONFIG, "mode": "float", "p": "1e999"}),
+    ("bound", {**EXAMPLE_CONFIG, "mode": "float", "a": "1" + "0" * 400}),
+    ("bound", {**EXAMPLE_CONFIG, "scale1": {"kind": "qscale", "q": "2", "t0": "1",
+                                            "k_max": float("inf")}}),
+], ids=["kernel_g-null", "kernel_g-number", "ibvp-g-null", "ibvp-h-number", "ibvp-F-list",
+        "float-p-past-range", "float-literal-past-range", "k_max-infinite"])
+def test_malformed_fields_are_config_errors(tmp_path, capsys, command, doc):
+    assert main([command, str(write_config(tmp_path, doc))]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("config error:")
 
 
 def test_cmd_ibvp_solves_and_checks(tmp_path):

@@ -6,10 +6,10 @@ counting wrapper around the kernel (the separable path when its factors
 qualify) and with kernel_terms removed (the direct path). A run that
 never calls the kernel took the separable path.
 
-The last section covers the scenario's kernel table: inside
+The last section covers what a scenario keeps: its factor table, read
+once for the scenario's life, and its kernel table, with which inside
 BoundScenario.shared_kernel_values() every kernel sum on one scenario
-reads each kernel value, and each factor table, once; outside it nothing
-is kept.
+reads each kernel value once; outside the block no kernel value is kept.
 """
 
 import dataclasses
@@ -25,7 +25,6 @@ from tsgronwall.bounds import (
     BoundScenario,
     compute_bound,
     cor31_bound,
-    kernel_factor_values,
     thm2_bound,
     thm4_bound,
 )
@@ -367,32 +366,42 @@ def test_the_block_drops_its_table_on_exit():
 
 
 def _counted_terms(sc):
+    """The scenario with each factor counted; a call is recorded as
+    (term, side, arguments), so repeated evaluations show as duplicates."""
     calls = []
 
-    def counted(factor):
+    def counted(factor, key):
         def wrapped(*args):
-            calls.append(args)
+            calls.append((key, args))
             return factor(*args)
         return wrapped
 
-    terms = tuple((counted(phi), counted(psi)) for phi, psi in sc.kernel_terms)
+    terms = tuple(
+        (counted(phi, (k, 0)), counted(psi, (k, 1)))
+        for k, (phi, psi) in enumerate(sc.kernel_terms)
+    )
     return dataclasses.replace(sc, kernel_terms=terms), calls
 
 
+@pytest.mark.parametrize("theorem,f,p,readers", [
+    ("thm2", "1/1000", "1", (thm2_bound, equality_case_kernel)),
+    # thm4 and cor31 skip the f = 0 targets; the equality case reads them.
+    ("thm4", "max(t1 - 2, 0)/1000", "2", (thm4_bound, equality_case_kernel)),
+    ("cor31", "max(t1 - 2, 0)/1000", "1", (cor31_bound, equality_case_kernel, thm4_bound)),
+])
 @pytest.mark.parametrize("name", ["sep-poly", "negative-factor"])
-def test_factor_tables_are_built_once_per_scenario(name):
+def test_factor_tables_are_built_once_per_scenario(theorem, f, p, readers, name):
     # negative-factor keeps its None: the fallback is decided once, and
     # the direct path then reads each kernel value once too.
-    sc, calls = _counted_terms(load("thm2", "exact", KERNELS[name][0], "1/1000", "1", "1"))
+    sc, calls = _counted_terms(load(theorem, "exact", KERNELS[name][0], f, p, p))
     kernel, kernel_calls = counting(sc.kernel)
     sc = dataclasses.replace(sc, kernel=kernel)
     with sc.shared_kernel_values():
-        thm2_bound(sc)
-        first = len(calls)
-        assert first > 0
-        equality_case_kernel(sc)
-        assert kernel_factor_values(sc, False) is kernel_factor_values(sc, False)
-    assert len(calls) == first
+        for read in readers:
+            read(sc)
+        assert sc._factor_table is sc._factor_table
+    assert calls and len(calls) == len(set(calls))
+    assert len(kernel_calls) == len(set(kernel_calls))
     assert len(kernel_calls) == (_pairs(sc) if KERNELS[name][1] == "fallback" else 0)
 
 
