@@ -13,23 +13,16 @@ power pair p >= q > 0, thm4 both, and cor31 is the sequence-scale route
 to thm4 through the literal increment product.
 
 Two loops compute them all: _linear_core runs thm1-in2, thm1-in6 (the
-axes swapped) and thm3; _kernel_bound_values runs thm2, thm4 and cor31.
-kernel_generator is the one kernel sum: at a target, the per-row sums
-over the sources below it of coefficient * kernel value. It alone picks
-between the separable prefix-sum path and the direct double sum and
-skips the f = 0 targets of thm4 and cor31; the kernel bounds here and
-the kernel equality case in the oracle both read it.
-
-Inside BoundScenario.shared_kernel_values() a scenario carries one kernel
-table of the direct path's values, stored per target once the target
-completes, so the bound, its equality case and cor31's thm4 cross-check
-on one scenario evaluate each kernel value once. The cost is memory:
-while the block lasts the direct path keeps O(pairs) values where it
-otherwise keeps O(n1), bounded by MAX_DIRECT_KERNEL_PAIRS. Outside the
-block it keeps none, so a lone kernel sum pays neither the memory nor
-the time of storing values that nothing reads again. A separable
-kernel's factors are only O(n1 * n2 * r) values, the size of the grids,
-so the scenario keeps them for life (BoundScenario._factor_table).
+axes swapped) and thm3; kernel_pass runs thm2, thm4, cor31 and the
+oracle's kernel equality case as readers of one pass over the targets,
+in row-major order. A pass reads each kernel value once, whatever its
+readers (a bound, its equality case, cor31's thm4 cross-check), and
+keeps none past its source row. kernel_generator is the one kernel sum
+behind the pass: it picks the separable prefix-sum path or the direct
+double sum for each reader and skips the f = 0 targets of thm4 and
+cor31. When the pass raises, each reader runs again alone, in the
+caller's order, so the error is the one they would raise one after
+another.
 
 Exact mode and powers: p >= q > 0 puts the generator exponent q/p - 1
 in (-1, 0], and a**(q/p - 1) is exact only at 0, so exact power bounds
@@ -46,10 +39,9 @@ take their roots and q-th powers from them.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     GridMismatch,
@@ -73,10 +65,7 @@ Factor2 = Callable[[Scalar, Scalar], Scalar]
 # kernel sum may read, one kernel call each. Measured on a 2-core Xeon
 # (Python 3.11) at about 1 us a pair in float mode and 10 us in exact
 # mode, so the cap is about 2 s or 20 s a pass; it admits square windows
-# up to 53 points a side. It also bounds a shared kernel table (see
-# BoundScenario.shared_kernel_values), which holds every pair's value: measured with tracemalloc on 30 x 30
-# windows, about 39 bytes a pair in float mode and 63 to 122 in exact
-# mode as the rationals grow, so about 80 MB or 125 to 245 MB at the cap.
+# up to 53 points a side.
 MAX_DIRECT_KERNEL_PAIRS = 2_000_000
 
 
@@ -95,7 +84,7 @@ class BoundScenario:
     g = sum_k phi_k(t1, t2) * psi_k(s1, s2) as (phi_k, psi_k) pairs, or
     None. It must agree with ``kernel``; config.load_scenario fills it in
     for separable kernel expressions, and the kernel bounds and oracle
-    then take a prefix-sum path (see _kernel_bound_values)."""
+    then take a prefix-sum path (see kernel_generator)."""
 
     a: GridFunction2
     f: GridFunction2
@@ -103,10 +92,6 @@ class BoundScenario:
     p: Scalar = 1
     q: Scalar = 1
     kernel_terms: Optional[tuple[tuple[Factor2, Factor2], ...]] = None
-    # The direct path's kernel values read so far inside
-    # shared_kernel_values(), keyed by target; None outside it, and after
-    # dataclasses.replace. Factors live in _factor_table instead.
-    _kernel_table: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a.ts1 != self.f.ts1 or self.a.ts2 != self.f.ts2:
@@ -129,54 +114,6 @@ class BoundScenario:
     @property
     def mode(self) -> Mode:
         return self.a.mode
-
-    @contextmanager
-    def shared_kernel_values(self):
-        """Within the block, the kernel sums on this scenario (a kernel
-        bound, its equality case, cor31's thm4 cross-check) share one
-        kernel table and evaluate each kernel value at most once. The
-        direct path then holds every pair's value, up to
-        MAX_DIRECT_KERNEL_PAIRS of them, until the block ends; so enter it
-        only where a second kernel sum on the scenario follows."""
-        object.__setattr__(self, "_kernel_table", {})
-        try:
-            yield self
-        finally:
-            object.__setattr__(self, "_kernel_table", None)
-
-    @cached_property
-    def _factor_table(self):
-        """The separable kernel's factors, read on first use and kept for
-        the scenario's life (see the module docstring): phi[i][j] holds the
-        phi_k(t1_i, t2_j) at each target with i, j >= 1 (None in row and
-        column 0), psi[i][j] the psi_k at each source (i < n1 - 1, j < n2 -
-        1). A target whose factors raise, or are negative or not finite,
-        holds None; kernel_generator takes the direct path when it reads
-        one. That path raises the error again at its own place, and a
-        negative or non-finite factor gives no sign for the kernel flag and
-        loses digits to cancellation in float mode. None without
-        kernel_terms, or when any source fails so: the separable path sums
-        every source."""
-        if self.kernel_terms is None:
-            return None
-        n1, n2 = self.a.shape
-        pts1, pts2 = self.ts1.points, self.ts2.points
-
-        def factors(side, i, j):
-            try:
-                values = tuple(term[side](pts1[i], pts2[j]) for term in self.kernel_terms)
-            except (TsgronwallError, ArithmeticError):
-                return None
-            return values if all(0 <= v < math.inf for v in values) else None
-
-        psi = [[factors(1, i, j) for j in range(n2 - 1)] for i in range(n1 - 1)]
-        if any(None in row for row in psi):
-            return None
-        phi = [
-            [None if i == 0 or j == 0 else factors(0, i, j) for j in range(n2)]
-            for i in range(n1)
-        ]
-        return phi, psi
 
     def power_exponent(self) -> Scalar:
         """q/p - 1, the exponent the power bounds apply to a inside the
@@ -369,118 +306,127 @@ def _best_linear_of(sc: BoundScenario, r2: BoundReport, r6: BoundReport) -> Boun
     )
 
 
-def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: dict):
+def _factor_table(sc: BoundScenario):
+    """The separable kernel's factors, read once per kernel pass:
+    phi[i][j] holds the phi_k(t1_i, t2_j) at each target with i, j >= 1
+    (None in row and column 0), psi[i][j] the psi_k at each source (i <
+    n1 - 1, j < n2 - 1). A target whose factors raise, or are negative
+    or not finite, holds None; a reader that reads one takes the direct
+    path. That path raises the error again at its own place, and a
+    negative or non-finite factor gives no sign for the kernel flag and
+    loses digits to cancellation in float mode. None without
+    kernel_terms, or when any source fails so: the separable path sums
+    every source."""
+    if sc.kernel_terms is None:
+        return None
+    n1, n2 = sc.a.shape
+    pts1, pts2 = sc.ts1.points, sc.ts2.points
+
+    def factors(side, i, j):
+        try:
+            values = tuple(term[side](pts1[i], pts2[j]) for term in sc.kernel_terms)
+        except (TsgronwallError, ArithmeticError):
+            return None
+        return values if all(0 <= v < math.inf for v in values) else None
+
+    psi = [[factors(1, i, j) for j in range(n2 - 1)] for i in range(n1 - 1)]
+    if any(None in row for row in psi):
+        return None
+    phi = [
+        [None if i == 0 or j == 0 else factors(0, i, j) for j in range(n2)]
+        for i in range(n1)
+    ]
+    return phi, psi
+
+
+class KernelReader(NamedTuple):
+    """One reader of kernel_pass: a kernel bound or the kernel equality
+    case. The first three fields go to kernel_generator; visit(i*, j*,
+    gen) takes the reader's generator list at each target, in row-major
+    order, and result() returns what the reader computed."""
+
+    coefficients: list
+    skip_zero_f: bool
+    hyp: dict
+    visit: Callable[[int, int, list], None]
+    result: Callable[[], object]
+
+
+def kernel_generator(sc: BoundScenario, readers):
     """The kernel sum behind the kernel bounds and their equality case.
 
-    generator(i*, j*, f*) returns, for each source row i < i*, f* times
-    the sum over jj < j* of coefficients[i][jj] * g(t*; s), with the
-    kernel frozen at the target t* and s = (t1_i, t2_jj). `coefficients`
-    holds one list per source row and may still grow, because a target
-    reads only the rows below it. A None coefficient marks a source whose
-    weight does not exist (a zero offset under a negative power); reading
-    it where the kernel is nonzero raises NonPositiveA. With `skip_zero_f`
-    (thm4, cor31) a target where f* = 0 gets the zero generator: no kernel
-    value is read there and its factors need not qualify, so nothing there
-    can clear the kernel flag or refuse the separable path. thm2 and the
-    equality case read every target.
+    `readers` holds one (coefficients, skip_zero_f, hyp) per reader, and
+    generator(i*, j*, f*) returns one list per reader: for each source
+    row i < i*, f* times the sum over jj < j* of coefficients[i][jj] *
+    g(t*; s), with the kernel frozen at the target t* and s = (t1_i,
+    t2_jj). `coefficients` holds one list per source row and may still
+    grow, because a target reads only the rows below it. A None
+    coefficient marks a source whose weight does not exist (a zero
+    offset under a negative power); reading it where the kernel is
+    nonzero raises NonPositiveA. With `skip_zero_f` (thm4, cor31) a
+    target where f* = 0 gets the zero generator: the reader reads no
+    kernel value there, so nothing there can clear its kernel flag or
+    refuse it the separable path.
 
-    This is the one place that picks a path. When no coefficient is None
-    and sc._factor_table holds factors at every target read, entry i is
-    sum_k f* phi_k(t*) R_k[i][j*], where R_k holds per-row prefix
-    sums of coefficient * psi_k, built as the rows arrive: O(n1 * n2 * r)
-    factor calls and O(n1^2 * n2 * r) arithmetic over the grid. Every
-    factor is nonnegative, so the kernel flag stays true. Otherwise each
-    target pays for its own double sum, O(n1^2 * n2^2) kernel calls over
-    the grid, and the first negative value read clears
-    hyp["kernel_nonnegative"]. Both give the same values (exactly, in
-    exact mode), flags and errors, and both add left to right, so float
-    sums do not depend on the Python version. The direct path calls the
-    kernel itself, with kernel_value's mode check but not its domain
-    guard, and raises KernelWorkTooLarge before its first call when the
-    grid has more than MAX_DIRECT_KERNEL_PAIRS target-source pairs.
-
-    Inside sc.shared_kernel_values() the direct path shares the
-    scenario's kernel table with every other kernel sum on the same
-    scenario. It stores a target's values, and whether any is negative,
-    only after the whole target is read, so an error leaves no entry and
-    a retry raises it again at the same pair. A target already stored is
-    summed from the table: its negative bit clears the kernel flag, and a
-    None coefficient raises where the stored value is nonzero, as a fresh
-    read would. Outside the block the direct path keeps no values.
+    This is the one place that picks a path, for each reader as it would
+    alone. When none of its coefficients is None and the factor table
+    holds factors at every target it reads, its entry i is sum_k f*
+    phi_k(t*) R_k[i][j*], where R_k holds per-row prefix sums of
+    coefficient * psi_k: O(n1 * n2 * r) factor calls, once per pass, and
+    O(n1^2 * n2 * r) arithmetic. Every factor is nonnegative, so its
+    kernel flag stays true. The other readers share one double sum,
+    O(n1^2 * n2^2) kernel calls: each value is read once per
+    target-source pair for every reader of that target, and a negative
+    one clears their hyp["kernel_nonnegative"]. The first of them sums as
+    the values arrive, the others over the source row after it, and no
+    value outlives its row. Both paths give the same values (exactly, in
+    exact mode), flags and errors, and add left to right, so float sums
+    do not depend on the Python version. The direct path calls the
+    kernel with kernel_value's mode check but not its domain guard, and
+    raises KernelWorkTooLarge before its first call when the grid has
+    more than MAX_DIRECT_KERNEL_PAIRS target-source pairs.
     """
     zero_value = zero(sc.mode)
     n1, n2 = sc.a.shape
     f = sc.f.values
-    factors = None
-    if all(c is not None for row in coefficients for c in row):
-        factors = sc._factor_table
-    if factors is not None and all(
-        factors[0][i][j] is not None
-        for i in range(1, n1) for j in range(1, n2)
-        if not (skip_zero_f and f[i][j] == 0)
-    ):
-        phi_at, psi_at = factors
-        prefix = []
-
-        def separable(i_star, j_star, f_star):
-            while len(prefix) < i_star:
-                i = len(prefix)
-                acc = [zero_value] * len(sc.kernel_terms)
-                row = [tuple(acc)]
-                for c, psi_values in zip(coefficients[i], psi_at[i]):
-                    for k, v in enumerate(psi_values):
-                        acc[k] += c * v
-                    row.append(tuple(acc))
-                prefix.append(row)
-            phis = phi_at[i_star][j_star]
-            if phis is None:  # row 0, column 0 or a skipped f* = 0 target
-                return [f_star * zero_value] * i_star
-            scaled = [f_star * phi for phi in phis]
-            gen = []
-            for i in range(i_star):
-                s = zero_value
-                for c, r in zip(scaled, prefix[i][j_star]):
-                    s += c * r
-                gen.append(s)
-            return gen
-
-        return separable
-
+    complete = [all(c is not None for row in r[0] for c in row) for r in readers]
+    factors = _factor_table(sc) if any(complete) else None
+    steps = [
+        _separable_generator(sc, coefficients, *factors)
+        if ok and factors is not None and all(
+            factors[0][i][j] is not None
+            for i in range(1, n1) for j in range(1, n2)
+            if not (skip_zero_f and f[i][j] == 0)
+        ) else None
+        for (coefficients, skip_zero_f, _), ok in zip(readers, complete)
+    ]
     pairs = _direct_kernel_pairs(n1, n2)
-    if pairs > MAX_DIRECT_KERNEL_PAIRS:
+    if None in steps and pairs > MAX_DIRECT_KERNEL_PAIRS:
         raise KernelWorkTooLarge(
             f"the direct kernel sum on {n1} x {n2} points reads {pairs} target-source "
             f"pairs; MAX_DIRECT_KERNEL_PAIRS allows {MAX_DIRECT_KERNEL_PAIRS}"
         )
     pts1, pts2 = sc.ts1.points, sc.ts2.points
     kernel, mode, kind = sc.kernel, sc.mode, type(zero_value)
-    table = sc._kernel_table
-    keep = table is not None
 
-    def direct(i_star, j_star, f_star):
-        if skip_zero_f and f_star == 0:
-            return [zero_value] * i_star
-        gen = []
-        stored = table.get((i_star, j_star)) if keep else None
-        if stored is not None:
-            g_rows, negative = stored
-            if negative:
-                hyp["kernel_nonnegative"] = False
-            for g_row, row in zip(g_rows, coefficients):
-                s = zero_value
-                for c, g_val in zip(row, g_row):
-                    if c is not None:
-                        s += c * g_val
-                    elif g_val != 0:
-                        raise NonPositiveA(_NEEDS_POSITIVE_A)
-                gen.append(f_star * s)
-            return gen
+    def generator(i_star, j_star, f_star):
+        gens, reading = [], []
+        for (coefficients, skip_zero_f, hyp), step in zip(readers, steps):
+            if step is not None:
+                gens.append(step(i_star, j_star, f_star))
+            elif skip_zero_f and f_star == 0:
+                gens.append([zero_value] * i_star)
+            else:
+                gens.append([])
+                reading.append((coefficients, gens[-1], hyp))
+        if not reading:
+            return gens
+        (lead_rows, lead, _), *rest = reading
         # Sources lie below the target, so the domain guard cannot fire.
         t1s, t2s = pts1[i_star], pts2[j_star]
         sources2 = pts2[:j_star]
-        g_rows = []
         negative = False
-        for s1, row in zip(pts1[:i_star], coefficients):
+        for i, (s1, row) in enumerate(zip(pts1[:i_star], lead_rows)):
             s = zero_value
             g_row = []
             for c, s2 in zip(row, sources2):
@@ -489,39 +435,115 @@ def kernel_generator(sc: BoundScenario, coefficients, skip_zero_f: bool, hyp: di
                     g_val = require_mode(g_val, mode, "kernel value")
                 if g_val < 0:
                     negative = True
-                if keep:
-                    g_row.append(g_val)
+                g_row.append(g_val)
                 if c is not None:
                     s += c * g_val
                 elif g_val != 0:
                     raise NonPositiveA(_NEEDS_POSITIVE_A)
-            g_rows.append(g_row)
-            gen.append(f_star * s)
+            lead.append(f_star * s)
+            for rows, gen, _ in rest:
+                s = zero_value
+                for c, g_val in zip(rows[i], g_row):
+                    if c is not None:
+                        s += c * g_val
+                    elif g_val != 0:
+                        raise NonPositiveA(_NEEDS_POSITIVE_A)
+                gen.append(f_star * s)
         if negative:
-            hyp["kernel_nonnegative"] = False
-        if keep:
-            table[i_star, j_star] = (g_rows, negative)
+            for _, _, hyp in reading:
+                hyp["kernel_nonnegative"] = False
+        return gens
+
+    return generator
+
+
+def _separable_generator(sc: BoundScenario, coefficients, phi_at, psi_at):
+    """One reader's prefix-sum path (see kernel_generator)."""
+    zero_value = zero(sc.mode)
+    prefix = []
+
+    def separable(i_star, j_star, f_star):
+        while len(prefix) < i_star:
+            i = len(prefix)
+            acc = [zero_value] * len(sc.kernel_terms)
+            row = [tuple(acc)]
+            for c, psi_values in zip(coefficients[i], psi_at[i]):
+                for k, v in enumerate(psi_values):
+                    acc[k] += c * v
+                row.append(tuple(acc))
+            prefix.append(row)
+        phis = phi_at[i_star][j_star]
+        if phis is None:  # row 0, column 0 or a skipped f* = 0 target
+            return [f_star * zero_value] * i_star
+        scaled = [f_star * phi for phi in phis]
+        gen = []
+        for i in range(i_star):
+            s = zero_value
+            for c, r in zip(scaled, prefix[i][j_star]):
+                s += c * r
+            gen.append(s)
         return gen
 
-    return direct
+    return separable
 
 
-def _kernel_bound_values(sc: BoundScenario, hyp, weights, expo, product, outer, skip_zero_f):
-    """The loop behind thm2, thm4 and cor31, returning the bound rows.
+def kernel_pass(sc: BoundScenario, starts) -> list:
+    """Run the kernel readers that `starts` build on `sc` in one pass
+    over the targets, and return their results in order.
+
+    Each start(sc) checks its reader's preconditions, raising as the
+    reader's own function would, and returns a KernelReader. The pass
+    visits the targets in row-major order and hands each reader its
+    generator list from one kernel_generator. When the pass raises, each
+    reader is started again and run alone, in the order given, so the
+    error is the one the first of them raises alone, as if they ran one
+    after another; valid input never gets there."""
+    try:
+        readers = [start(sc) for start in starts]
+        generator = kernel_generator(sc, [reader[:3] for reader in readers])
+        n1, n2 = sc.a.shape
+        f = sc.f.values
+        for i_star in range(n1):
+            for j_star in range(n2):
+                for reader, gen in zip(readers, generator(i_star, j_star, f[i_star][j_star])):
+                    reader.visit(i_star, j_star, gen)
+        return [reader.result() for reader in readers]
+    except Exception as exc:  # any error: the lone runs below name the one to raise
+        if len(starts) == 1:
+            raise
+        error = exc
+    for start in starts:
+        kernel_pass(sc, [start])
+    raise error
+
+
+def _kernel_bound_reader(sc: BoundScenario, theorem, weights, product) -> KernelReader:
+    """The kernel_pass reader of thm2, thm4 or cor31.
 
     At each target (t1*, t2*) the kernel's leading arguments are frozen.
     The generator along the first axis holds, for every row i below the
     target, f(t*) times the weighted sum over the sources jj < j* of
-    g(t*; s) * a(s)**expo (expo falsy: no offset weight), read from
-    kernel_generator with the coefficients weights[jj] * a(s)**expo,
-    formed once per source. `product(i*, gen)` is the exponential and
-    `outer(a(t*), e)` the bound. `skip_zero_f` goes to kernel_generator,
-    which may clear the kernel_nonnegative flag this sets in `hyp`.
+    g(t*; s) * a(s)**expo, read from kernel_generator with the
+    coefficients weights[jj] * a(s)**expo, formed once per source.
+    `product(i*, gen)` is the exponential. thm2 has no offset weight
+    (expo = 0) and gives a(t*) times the exponential; thm4 and cor31
+    weight by a**(q/p - 1), raise everything to 1/p and skip the targets
+    with f(t*) = 0. kernel_generator may clear the kernel_nonnegative
+    flag this sets.
     """
-    n1, n2 = sc.a.shape
-    a, f = sc.a.values, sc.f.values
+    if sc.kernel is None:
+        raise ValueError(f"{theorem} needs a kernel")
+    powered = theorem != "thm2"
+    if powered:
+        _require_exact_power(sc, f"{theorem} generator weight a**(q/p - 1)")
+        _require_a_not_negative(sc)
+    hyp = _hypotheses(sc, f_monotone=True, a_positive=powered)
     hyp["kernel_nonnegative"] = True
-    if expo:
+    n1, n2 = sc.a.shape
+    a = sc.a.values
+    coefficients = [weights] * (n1 - 1)
+    if powered and sc.power_exponent():
+        expo = sc.power_exponent()
         coefficients = [
             [
                 None if a[i][jj] <= 0 else w * scalar_pow(a[i][jj], expo, sc.mode)
@@ -529,32 +551,52 @@ def _kernel_bound_values(sc: BoundScenario, hyp, weights, expo, product, outer, 
             ]
             for i in range(n1 - 1)
         ]
-    else:
-        coefficients = [weights] * (n1 - 1)
-    generator = kernel_generator(sc, coefficients, skip_zero_f, hyp)
     out = [[None] * n2 for _ in range(n1)]
-    for i_star in range(n1):
-        for j_star in range(n2):
-            gen = generator(i_star, j_star, f[i_star][j_star])
-            out[i_star][j_star] = outer(a[i_star][j_star], product(i_star, gen))
-    return tuple(tuple(r) for r in out)
+
+    def visit(i_star, j_star, gen):
+        a_star, e = a[i_star][j_star], product(i_star, gen)
+        out[i_star][j_star] = sc.root(a_star) * sc.root(e) if powered else a_star * e
+
+    def result():
+        values = tuple(tuple(row) for row in out)
+        return BoundReport(theorem, sc.ts1, sc.ts2, values, hyp, power=sc.p if powered else 1)
+
+    return KernelReader(coefficients, powered, hyp, visit, result)
+
+
+def _graininess_reader(theorem: str, sc: BoundScenario) -> KernelReader:
+    """thm2 and thm4: weights and exponential from the window points."""
+    return _kernel_bound_reader(
+        sc, theorem, sc.ts2.graininesses(),
+        lambda i_star, gen: sc.ts1.exp_prefix(gen)[-1],
+    )
+
+
+def _cor31_reader(sc: BoundScenario) -> KernelReader:
+    """cor31: increment weights and the literal increment product."""
+    if sc.ts1.kind != SEQUENCE or sc.ts2.kind != SEQUENCE:
+        raise WrongScaleKind("cor31 needs sequence scales on both axes")
+    alphas = sc.ts1.increments
+    return _kernel_bound_reader(
+        sc, "cor31", sc.ts2.increments,
+        lambda i_star, gen: exp_prefix_from_increments(alphas[:i_star], gen, sc.mode)[-1],
+    )
+
+
+# Kernel bound selector -> the start of its kernel_pass reader.
+KERNEL_READERS = {
+    "thm2": partial(_graininess_reader, "thm2"),
+    "thm4": partial(_graininess_reader, "thm4"),
+    "cor31": _cor31_reader,
+}
 
 
 def thm2_bound(sc: BoundScenario) -> BoundReport:
     """Kernel bound: a(t*) times the exponential along the first axis of
     f(t*) times the double kernel integral up to the target, with the
-    kernel frozen at each target (see _kernel_bound_values). Every
+    kernel frozen at each target (see _kernel_bound_reader). Every
     target's kernel values are read, even where f(t*) = 0."""
-    if sc.kernel is None:
-        raise ValueError("thm2 needs a kernel")
-    hyp = _hypotheses(sc, f_monotone=True)
-    values = _kernel_bound_values(
-        sc, hyp, sc.ts2.graininesses(), 0,
-        lambda i_star, gen: sc.ts1.exp_prefix(gen)[-1],
-        lambda a_value, e: a_value * e,
-        skip_zero_f=False,
-    )
-    return BoundReport("thm2", sc.ts1, sc.ts2, values, hyp)
+    return kernel_pass(sc, [KERNEL_READERS["thm2"]])[0]
 
 
 def thm3_bound(sc: BoundScenario) -> BoundReport:
@@ -573,43 +615,17 @@ def thm3_bound(sc: BoundScenario) -> BoundReport:
     return BoundReport("thm3", sc.ts1, sc.ts2, tuple(zip(*columns)), hyp, power=sc.p)
 
 
-def _power_kernel_bound(sc: BoundScenario, theorem, weights, product) -> BoundReport:
-    """thm4 and cor31: the kernel integral weighted by a**(q/p - 1),
-    everything raised to 1/p, targets with f(t*) = 0 skipped."""
-    if sc.kernel is None:
-        raise ValueError(f"{theorem} needs a kernel")
-    _require_exact_power(sc, f"{theorem} generator weight a**(q/p - 1)")
-    expo = sc.power_exponent()
-    _require_a_not_negative(sc)
-    hyp = _hypotheses(sc, f_monotone=True, a_positive=True)
-    values = _kernel_bound_values(
-        sc, hyp, weights, expo, product,
-        lambda a_value, e: sc.root(a_value) * sc.root(e),
-        skip_zero_f=True,
-    )
-    return BoundReport(theorem, sc.ts1, sc.ts2, values, hyp, power=sc.p)
-
-
 def thm4_bound(sc: BoundScenario) -> BoundReport:
     """Kernel and power combined: the per-target kernel integral weighted
     by a**(q/p - 1) along the way, everything raised to 1/p."""
-    return _power_kernel_bound(
-        sc, "thm4", sc.ts2.graininesses(),
-        lambda i_star, gen: sc.ts1.exp_prefix(gen)[-1],
-    )
+    return kernel_pass(sc, [KERNEL_READERS["thm4"]])[0]
 
 
 def cor31_bound(sc: BoundScenario) -> BoundReport:
     """Sequence-scale route to thm4: the same bound, but graininesses are
     read off the increment sequences and the exponential is the literal
     increment product. Must agree with thm4_bound exactly in exact mode."""
-    if sc.ts1.kind != SEQUENCE or sc.ts2.kind != SEQUENCE:
-        raise WrongScaleKind("cor31 needs sequence scales on both axes")
-    alphas = sc.ts1.increments
-    return _power_kernel_bound(
-        sc, "cor31", sc.ts2.increments,
-        lambda i_star, gen: exp_prefix_from_increments(alphas[:i_star], gen, sc.mode)[-1],
-    )
+    return kernel_pass(sc, [KERNEL_READERS["cor31"]])[0]
 
 
 _BOUND_FUNCTIONS = {

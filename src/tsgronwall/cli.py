@@ -11,7 +11,6 @@ finds not dominating included, and on usage errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -23,7 +22,7 @@ from .errors import ConfigError, HypothesisViolated, TsgronwallError
 from .grid2 import GridFunction2
 from .ibvp import check_estimate
 from .numeric import Mode, format_scalar
-from .oracle import CAMPAIGN_THEOREMS, EQUALITY_CASES, check_domination, run_campaign
+from .oracle import CAMPAIGN_THEOREMS, bound_and_equality_case, check_domination, run_campaign
 from .timescale import MAX_WINDOW_POINTS, TimeScale
 
 EXIT_OK = 0
@@ -78,12 +77,11 @@ def cmd_bound(args) -> int:
     sc = scenario.bound_scenario
     run_oracle = scenario.run_oracle and sc.ts1.is_discrete and sc.ts2.is_discrete
     oracle_result = None
-    # The equality case reads the bound's kernel values again.
-    with sc.shared_kernel_values() if run_oracle else contextlib.nullcontext():
+    if run_oracle:
+        report, u_star = bound_and_equality_case(scenario.theorem, sc)
+        oracle_result = check_domination(u_star, report)
+    else:
         report = compute_bound(scenario.theorem, sc)
-        if run_oracle:
-            u_star = EQUALITY_CASES[scenario.theorem](sc)
-            oracle_result = check_domination(u_star, report)
     if args.format == "csv":
         text = config.report_to_csv(report)
     else:

@@ -47,6 +47,17 @@ from .timescale import TimeScale
 _KERNEL_VARIABLES = ("t", "s", "tau", "xi")
 _KERNEL_THEOREMS = ("thm2", "thm4", "cor31")
 
+# The keys each reader reads; any other key is a config error.
+_SCENARIO_KEYS = ("theorem", "mode", "scale1", "scale2", "a", "f", "kernel_g", "p", "q", "oracle")
+_IBVP_KEYS = ("scale1", "scale2", "g", "h", "F")
+_SCALE_KEYS = {
+    "integers": ("kind", "h", "a", "b"),
+    "qscale": ("kind", "q", "t0", "k_max"),
+    "sequence": ("kind", "t0", "alphas"),
+    "sample": ("kind", "left", "step", "count"),
+}
+_TABLE_KEYS = ("points1", "points2", "rows")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -71,10 +82,30 @@ def _require_key(doc: dict, key: str):
     return doc[key]
 
 
+def _only_keys(doc: dict, allowed, what: str) -> None:
+    """Refuse a key of `doc` that its reader does not read."""
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key {key!r} in {what}; allowed keys: {', '.join(allowed)}"
+            )
+
+
+def _count(record: dict, key: str) -> int:
+    """A window count: a JSON integer, and true or false is not one."""
+    value = _require_key(record, key)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def parse_timescale(record: dict, mode: Mode) -> TimeScale:
     if not isinstance(record, dict):
         raise ConfigError("a scale must be a JSON object")
     kind = _require_key(record, "kind")
+    if not isinstance(kind, str) or kind not in _SCALE_KEYS:
+        raise ConfigError(f"unknown scale kind {kind!r}")
+    _only_keys(record, _SCALE_KEYS[kind], f"a scale of kind {kind!r}")
     try:
         if kind == "integers":
             return TimeScale.integers(
@@ -87,7 +118,7 @@ def parse_timescale(record: dict, mode: Mode) -> TimeScale:
             return TimeScale.qscale(
                 parse_scalar(_require_key(record, "q"), mode),
                 parse_scalar(_require_key(record, "t0"), mode),
-                int(_require_key(record, "k_max")),
+                _count(record, "k_max"),
                 mode=mode,
             )
         if kind == "sequence":
@@ -101,11 +132,10 @@ def parse_timescale(record: dict, mode: Mode) -> TimeScale:
             return TimeScale.sample(
                 parse_scalar(_require_key(record, "left"), Mode.FLOAT),
                 parse_scalar(_require_key(record, "step"), Mode.FLOAT),
-                int(_require_key(record, "count")),
+                _count(record, "count"),
             )
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {kind} scale: {exc}") from exc
-    raise ConfigError(f"unknown scale kind {kind!r}")
 
 
 def parse_grid(obj, ts1: TimeScale, ts2: TimeScale, mode: Mode,
@@ -117,11 +147,14 @@ def parse_grid(obj, ts1: TimeScale, ts2: TimeScale, mode: Mode,
         except (ExprError, ValueError) as exc:
             raise ConfigError(f"bad grid expression {obj!r}: {exc}") from exc
     if isinstance(obj, dict) and "table" in obj:
+        _only_keys(obj, ("table",), "a grid")
         return _grid_from_table(obj["table"], ts1, ts2, mode)
     raise ConfigError("a grid must be an expression string or a {'table': ...} object")
 
 
 def _grid_from_table(table: dict, ts1: TimeScale, ts2: TimeScale, mode: Mode) -> GridFunction2:
+    if isinstance(table, dict):
+        _only_keys(table, _TABLE_KEYS, "a table")
     try:
         points1 = [parse_scalar(x, mode) for x in _require_key(table, "points1")]
         points2 = [parse_scalar(x, mode) for x in _require_key(table, "points2")]
@@ -163,6 +196,7 @@ def load_scenario(doc, mode_override: Optional[Mode] = None) -> Scenario:
         doc = json.loads(Path(doc).read_text())
     if not isinstance(doc, dict):
         raise ConfigError("a scenario config must be a JSON object")
+    _only_keys(doc, _SCENARIO_KEYS, "a scenario")
     theorem = _require_key(doc, "theorem")
     if theorem not in THEOREMS:
         raise ConfigError(f"unknown theorem {theorem!r}; choose one of {THEOREMS}")
@@ -188,7 +222,10 @@ def load_scenario(doc, mode_override: Optional[Mode] = None) -> Scenario:
         )
     except (ValueError, GridMismatch) as exc:
         raise ConfigError(str(exc)) from exc
-    return Scenario(theorem, mode, bound_scenario, bool(doc.get("oracle", False)))
+    run_oracle = doc.get("oracle", False)
+    if not isinstance(run_oracle, bool):
+        raise ConfigError(f"'oracle' must be true or false, got {run_oracle!r}")
+    return Scenario(theorem, mode, bound_scenario, run_oracle)
 
 
 def load_ibvp(doc) -> IbvpProblem:
@@ -197,6 +234,7 @@ def load_ibvp(doc) -> IbvpProblem:
         doc = json.loads(Path(doc).read_text())
     if not isinstance(doc, dict):
         raise ConfigError("an ibvp config must be a JSON object")
+    _only_keys(doc, _IBVP_KEYS, "an ibvp document")
     ts1 = parse_timescale(_require_key(doc, "scale1"), Mode.FLOAT)
     ts2 = parse_timescale(_require_key(doc, "scale2"), Mode.FLOAT)
     try:

@@ -7,12 +7,15 @@ falls out of a single sweep over the grid. A bound that dominates the
 equality case dominates every admissible function, which turns a
 universally quantified claim into one comparison per grid point.
 
-The kernel equality case has no kernel sum of its own: it reads
-bounds.kernel_generator, the same sum the kernel bounds read, with the
-coefficients mu1 * mu2 * u**q of the rows it has solved. The power and
-kernel equality cases take their roots and q-th powers from
-BoundScenario.root and BoundScenario.q_power, the owners of the exact
-mode convention (p-th powers stored) that the power bounds follow too.
+The kernel equality case has no kernel sum of its own: it is a reader of
+bounds.kernel_pass, the pass the kernel bounds read, with the
+coefficients mu1 * mu2 * u**q of the rows it has solved.
+bound_and_equality_case runs a kernel bound, its equality case and any
+cross-check bounds as readers of one pass, so each kernel value is read
+once. The power and kernel equality cases take their roots and q-th
+powers from BoundScenario.root and BoundScenario.q_power, the owners of
+the exact mode convention (p-th powers stored) that the power bounds
+follow too.
 
 Campaigns draw reproducible random scenarios from one builder (rationals
 with numerators 0..9 and denominators 1..9; nondecreasing grids built as
@@ -33,18 +36,19 @@ from functools import partial
 from typing import Optional
 
 from .bounds import (
+    KERNEL_READERS,
     MAX_DIRECT_KERNEL_PAIRS,
     BoundReport,
     BoundScenario,
+    KernelReader,
     _best_linear_of,
     _direct_kernel_pairs,
     _require_a_not_negative,
     _require_exact_power,
     compute_bound,
-    kernel_generator,
+    kernel_pass,
     thm1_bound_in2,
     thm1_bound_in6,
-    thm4_bound,
 )
 from .errors import GridMismatch, KernelWorkTooLarge, NonPositiveA, NotDiscrete
 from .grid2 import GridFunction2, sweep2
@@ -123,11 +127,14 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     sit strictly below them, so the recursion stays closed. Exact mode
     follows the same p = q powered convention as equality_case_power,
     through BoundScenario.root and q_power.
-
-    Each solved row adds the coefficients mu1 * mu2 * u**q of its sources
-    to bounds.kernel_generator, which reads them at the targets above and
-    picks the separable or the direct path, as for the kernel bounds.
     """
+    return kernel_pass(sc, [_equality_kernel_reader])[0]
+
+
+def _equality_kernel_reader(sc: BoundScenario) -> KernelReader:
+    """equality_case_kernel as a reader of bounds.kernel_pass: each solved
+    row of targets adds the coefficients mu1 * mu2 * u**q of its sources,
+    which the targets above read."""
     if sc.kernel is None:
         raise ValueError("kernel recursion needs a kernel")
     _require_discrete(sc)
@@ -135,22 +142,23 @@ def equality_case_kernel(sc: BoundScenario) -> GridFunction2:
     _require_exact_power(sc, "kernel recursion")
     n1, n2 = sc.a.shape
     mu1, mu2 = sc.ts1.graininesses(), sc.ts2.graininesses()
-    a, f = sc.a.values, sc.f.values
+    a = sc.a.values
     zero_value = zero(sc.mode)
-    coefficients = []
-    generator = kernel_generator(sc, coefficients, False, {})
-    u = []
-    for i in range(n1):
-        u_row = []
-        for j in range(n2):
-            s = zero_value
-            for g in generator(i, j, f[i][j]):
-                s += g
-            u_row.append(sc.root(a[i][j] + s))
-        u.append(u_row)
-        if i + 1 < n1:
-            coefficients.append([mu1[i] * w * sc.q_power(v) for w, v in zip(mu2, u_row)])
-    return GridFunction2.from_rows(sc.ts1, sc.ts2, u)
+    coefficients, u = [], []
+
+    def visit(i, j, gen):
+        if j == 0:
+            u.append([])
+        s = zero_value
+        for g in gen:
+            s += g
+        u[i].append(sc.root(a[i][j] + s))
+        if j == n2 - 1 and i + 1 < n1:
+            coefficients.append([mu1[i] * w * sc.q_power(v) for w, v in zip(mu2, u[i])])
+
+    return KernelReader(
+        coefficients, False, {}, visit, lambda: GridFunction2.from_rows(sc.ts1, sc.ts2, u)
+    )
 
 
 # Bound selector -> the equality case its oracle solves, for the CLI and
@@ -164,6 +172,19 @@ EQUALITY_CASES = {
     "thm4": equality_case_kernel,
     "cor31": equality_case_kernel,
 }
+
+
+def bound_and_equality_case(theorem: str, sc: BoundScenario, *cross: str) -> tuple:
+    """(report, equality case, one report per `cross` selector) on `sc`.
+    When every selector names a kernel bound, the bounds and the kernel
+    equality case are readers of one bounds.kernel_pass, in that order,
+    and read each kernel value once; otherwise each runs on its own."""
+    if all(t in KERNEL_READERS for t in (theorem, *cross)):
+        starts = [KERNEL_READERS[theorem], _equality_kernel_reader]
+        return tuple(kernel_pass(sc, starts + [KERNEL_READERS[t] for t in cross]))
+    report = compute_bound(theorem, sc)
+    u = EQUALITY_CASES[theorem](sc)
+    return (report, u, *(compute_bound(t, sc) for t in cross))
 
 
 def domination_summary(u_values, bound_values, mode: Mode, exclude=frozenset()):
@@ -377,15 +398,13 @@ def _run_case(theorem: str, rng: random.Random, case_index: int, max_window: int
     pairs, build = _CAMPAIGN_CASES[theorem]
     p, q = pairs[case_index % len(pairs)]
     sc = build(rng, max_window, p=p, q=q, mode=Mode.EXACT if p == q else Mode.FLOAT)
-    with sc.shared_kernel_values():
-        u = EQUALITY_CASES[theorem](sc)
-        report = compute_bound(theorem, sc)
-        result = check_domination(u, report)
-        ok = result.dominated
-        if theorem == "cor31":
-            other = thm4_bound(sc).values
-            for first, second in ((report.values, other), (other, report.values)):
-                ok = domination_summary(first, second, sc.mode)[0] and ok
+    cross = ("thm4",) if theorem == "cor31" else ()
+    report, u, *others = bound_and_equality_case(theorem, sc, *cross)
+    result = check_domination(u, report)
+    ok = result.dominated
+    for other in others:
+        for first, second in ((report.values, other.values), (other.values, report.values)):
+            ok = domination_summary(first, second, sc.mode)[0] and ok
     return ok, [result]
 
 

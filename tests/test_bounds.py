@@ -199,27 +199,33 @@ def _rational_kernel(t1, t2, s1, s2):
     _rational_kernel,
 ], ids=["min", "max", "python"])
 def test_direct_kernel_generator_sums_kernel_value_over_every_pair(kernel):
+    # Two readers share the double sum: the first sums each value as it is
+    # read, the second over the buffered source row.
     rng = random.Random(41)
     ts1, ts2 = integer_windows(5, 4)
     a = GridFunction2.constant(ts1, ts2, Fraction(1))
     sc = BoundScenario(a=a, f=a, kernel=kernel)
-    coefficients = [[rand_fraction(rng, -9) for _ in range(3)] for _ in range(4)]
-    hyp = {"kernel_nonnegative": True}
-    generator = kernel_generator(sc, coefficients, False, hyp)
+    readers = [
+        ([[rand_fraction(rng, -9) for _ in range(3)] for _ in range(4)], False,
+         {"kernel_nonnegative": True})
+        for _ in range(2)
+    ]
+    generator = kernel_generator(sc, readers)
     pts1, pts2 = ts1.points, ts2.points
     negative = False
     for i_star, t1 in enumerate(pts1):
         for j_star, t2 in enumerate(pts2):
             f_star = rand_fraction(rng, 1)
-            want = []
+            want = [[] for _ in readers]
             for i in range(i_star):
                 values = [kernel_value(sc, t1, t2, pts1[i], pts2[jj]) for jj in range(j_star)]
                 negative = negative or any(v < 0 for v in values)
-                want.append(f_star * sum(
-                    (c * v for c, v in zip(coefficients[i], values)), Fraction(0)
-                ))
+                for (coefficients, _, _), gen in zip(readers, want):
+                    gen.append(f_star * sum(
+                        (c * v for c, v in zip(coefficients[i], values)), Fraction(0)
+                    ))
             assert generator(i_star, j_star, f_star) == want
-    assert hyp["kernel_nonnegative"] is not negative
+    assert [hyp["kernel_nonnegative"] for _, _, hyp in readers] == [not negative] * 2
 
 
 def test_direct_kernel_sum_checks_the_mode_of_kernel_values():
@@ -240,8 +246,8 @@ def test_separable_kernel_sum_adds_its_terms_left_to_right():
     )
     sc = BoundScenario(a=one, f=one, kernel=lambda *args: 1e16 + 2.0, kernel_terms=terms)
     hyp = {"kernel_nonnegative": True}
-    generator = kernel_generator(sc, [ts2.graininesses()], False, hyp)
-    assert generator(1, 1, 1.0) == [((0.0 + 1e16) + 1.0) + 1.0] == [1e16]
+    generator = kernel_generator(sc, [([ts2.graininesses()], False, hyp)])
+    assert generator(1, 1, 1.0) == [[((0.0 + 1e16) + 1.0) + 1.0]] == [[1e16]]
 
 
 def test_thm3_with_unit_powers_is_the_linear_bound():

@@ -233,8 +233,8 @@ def test_cmd_bound_refuses_a_direct_kernel_sum_over_the_pair_cap(tmp_path, capsy
 
 def test_the_pair_cap_leaves_a_separable_kernel_alone():
     sc = config.load_scenario({**LARGE_KERNEL_CONFIG, "kernel_g": "tau*xi"}).bound_scenario
-    generator = kernel_generator(sc, [sc.ts2.graininesses()] * 299, False, {})
-    assert generator(2, 2, 1.0) == [0.0, 1.0]  # tau*xi summed over xi in {0, 1}
+    generator = kernel_generator(sc, [([sc.ts2.graininesses()] * 299, False, {})])
+    assert generator(2, 2, 1.0) == [[0.0, 1.0]]  # tau*xi summed over xi in {0, 1}
 
 
 def test_cmd_bound_with_oracle_block(tmp_path):
@@ -436,6 +436,44 @@ def test_malformed_fields_are_config_errors(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("config error:")
+
+
+QSCALE = {"kind": "qscale", "q": "2", "t0": "1", "k_max": 3}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("bound", {**EXAMPLE_CONFIG, "theorem": "best-linear", "orcale": True},
+     "unknown key 'orcale' in a scenario; allowed keys: theorem, mode, scale1, scale2, a, f, "
+     "kernel_g, p, q, oracle"),
+    ("bound", {**EXAMPLE_CONFIG, "theorem": "thm2", "kernel_g": "tau*xi", "kernal_g": "1"},
+     "unknown key 'kernal_g' in a scenario; "),
+    ("bound", {**EXAMPLE_CONFIG, "oracle": "false"}, "'oracle' must be true or false, got 'false'"),
+    ("bound", {**EXAMPLE_CONFIG, "oracle": 1}, "'oracle' must be true or false, got 1"),
+    ("bound", {**EXAMPLE_CONFIG, "scale1": {**QSCALE, "k_max": 3.7}},
+     "'k_max' must be a JSON integer, got 3.7"),
+    ("bound", {**EXAMPLE_CONFIG, "scale1": {**QSCALE, "k_max": True}},
+     "'k_max' must be a JSON integer, got True"),
+    ("bound", {**EXAMPLE_CONFIG, "mode": "float", "scale1": {
+        "kind": "sample", "left": "0", "step": "1", "count": "4"}},
+     "'count' must be a JSON integer, got '4'"),
+    ("bound", {**EXAMPLE_CONFIG, "scale2": {**EXAMPLE_CONFIG["scale2"], "step": "1"}},
+     "unknown key 'step' in a scale of kind 'integers'; allowed keys: kind, h, a, b"),
+    ("bound", {**EXAMPLE_CONFIG, "f": {"table": EXAMPLE_TABLE, "default": "1"}},
+     "unknown key 'default' in a grid; allowed keys: table"),
+    ("bound", {**EXAMPLE_CONFIG, "f": {"table": {**EXAMPLE_TABLE, "cols": []}}},
+     "unknown key 'cols' in a table; allowed keys: points1, points2, rows"),
+    ("ibvp", {**IBVP_CONFIG, "mode": "float"},
+     "unknown key 'mode' in an ibvp document; allowed keys: scale1, scale2, g, h, F"),
+], ids=["orcale", "kernal_g", "oracle-string", "oracle-number", "k_max-fraction", "k_max-true",
+        "count-string", "scale-extra-key", "grid-extra-key", "table-extra-key", "ibvp-extra-key"])
+def test_what_no_reader_reads_is_a_config_error(tmp_path, capsys, command, doc, message):
+    # Each of these ran at one time, ignoring the key or misreading the
+    # value: a typo silently turned the oracle off, "false" turned it on,
+    # and 3.7 built the window of k_max = 3.
+    assert main([command, str(write_config(tmp_path, doc))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines()[-1].startswith("config error: " + message)
 
 
 def test_cmd_ibvp_solves_and_checks(tmp_path):

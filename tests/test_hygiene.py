@@ -1,9 +1,9 @@
 """Source hygiene, checked with the standard library's ast module.
 
-Two kinds of dead code fail here: an import that its module never uses
-(``__future__`` imports and the re-exports of ``__init__.py`` aside),
-and a module-level private name in ``src/`` that no module in ``src/``
-reads.
+Two kinds of dead code fail here: an import that its module in
+``src/``, ``tests/`` or ``tools/`` never uses (``__future__`` imports and
+the re-exports of ``__init__.py`` aside), and a module-level private
+name in ``src/`` that no module in ``src/`` reads.
 """
 
 import ast
@@ -12,6 +12,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src").rglob("*.py"))
 TESTS = sorted((ROOT / "tests").rglob("*.py"))
+TOOLS = sorted((ROOT / "tools").rglob("*.py"))
 
 
 def _tree(path):
@@ -52,7 +53,8 @@ def _unused_imports(path):
 
 def test_no_module_imports_a_name_it_does_not_use():
     unused = []
-    for path in SRC + TESTS:
+    assert TOOLS
+    for path in SRC + TESTS + TOOLS:
         if path.name != "__init__.py":
             unused += _unused_imports(path)
     assert unused == []

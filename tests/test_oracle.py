@@ -10,7 +10,6 @@ from tsgronwall import oracle
 from tsgronwall.bounds import (
     BoundScenario,
     best_linear_bound,
-    cor31_bound,
     thm1_bound_in2,
     thm2_bound,
     thm3_bound,
@@ -371,17 +370,21 @@ def test_campaign_summaries_match_the_recorded_draws(theorem, seed):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_cor31_cross_check_fails_on_non_finite_thm4_values(monkeypatch, bad):
-    # thm4 is replaced by the cor31 report itself, with one value spoiled
-    # in float mode; exact cases keep the report as it is and agree.
-    def spoiled_thm4(sc):
-        report = cor31_bound(sc)
-        if report.mode is Mode.EXACT:
-            return report
-        rows = [list(row) for row in report.values]
-        rows[-1][-1] = bad
-        return dataclasses.replace(report, values=tuple(tuple(row) for row in rows))
+    # thm4, the cross-check reader of the pass, comes back with one value
+    # spoiled in float mode; exact cases keep the report as it is and agree.
+    joint = oracle.bound_and_equality_case
 
-    monkeypatch.setattr(oracle, "thm4_bound", spoiled_thm4)
+    def spoiled_thm4(theorem, sc, *cross):
+        assert (theorem, cross) == ("cor31", ("thm4",))
+        report, u, thm4 = joint(theorem, sc, *cross)
+        assert thm4.theorem == "thm4"
+        if thm4.mode is Mode.EXACT:
+            return report, u, thm4
+        rows = [list(row) for row in thm4.values]
+        rows[-1][-1] = bad
+        return report, u, dataclasses.replace(thm4, values=tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(oracle, "bound_and_equality_case", spoiled_thm4)
     # (1, 1), (2, 1), (2, 2), (3, 2): four of the eight cases run in float mode
     summary = run_campaign("cor31", 8, 3, 6)
     assert summary.failures == 4

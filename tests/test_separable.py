@@ -6,14 +6,15 @@ counting wrapper around the kernel (the separable path when its factors
 qualify) and with kernel_terms removed (the direct path). A run that
 never calls the kernel took the separable path.
 
-The last section covers what a scenario keeps: its factor table, read
-once for the scenario's life, and its kernel table, with which inside
-BoundScenario.shared_kernel_values() every kernel sum on one scenario
-reads each kernel value once; outside the block no kernel value is kept.
+The last section covers bounds.kernel_pass: its readers (the kernel
+bounds and the kernel equality case) read each factor and each kernel
+value once per pass, get what they would get alone, and raise what they
+would raise one after another; a scenario keeps nothing between passes.
 """
 
 import dataclasses
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -22,16 +23,23 @@ import pytest
 from kernel_reference import reference_equality_case_kernel
 from tsgronwall import config
 from tsgronwall.bounds import (
+    KERNEL_READERS,
     BoundScenario,
     compute_bound,
     cor31_bound,
+    kernel_pass,
     thm2_bound,
     thm4_bound,
 )
 from tsgronwall.errors import DivisionByZero, KernelDomain, NonPositiveA
 from tsgronwall.exprlang import MAX_TERMS, compile_separable, parse, separate, to_source
 from tsgronwall.numeric import Mode
-from tsgronwall.oracle import equality_case_kernel, random_kernel_scenario
+from tsgronwall.oracle import (
+    _equality_kernel_reader,
+    bound_and_equality_case,
+    equality_case_kernel,
+    random_kernel_scenario,
+)
 
 TARGET, SOURCE = ("t", "s"), ("tau", "xi")
 
@@ -307,7 +315,7 @@ def test_equality_case_matches_the_brute_force_reference(theorem, mode, p, q, na
         assert_values_match(solved, reference, sc.mode)
 
 
-# -- the scenario's kernel table ----------------------------------------
+# -- one kernel pass per scenario ----------------------------------------
 
 
 def _pairs(sc):
@@ -322,47 +330,43 @@ def _python_scenario(theorem, mode, kernel, f=F_GRIDS["positive"], p="1", q="1",
     return dataclasses.replace(sc, kernel=kernel, kernel_terms=None)
 
 
+def _starts(*names):
+    """kernel_pass reader starts by name: a kernel bound selector, or
+    "equality" for the kernel equality case."""
+    return [_equality_kernel_reader if n == "equality" else KERNEL_READERS[n] for n in names]
+
+
+def _lone(name):
+    """The function that runs the reader `name` on its own."""
+    lone = {"equality": equality_case_kernel, "thm2": thm2_bound, "thm4": thm4_bound,
+            "cor31": cor31_bound}
+    return lone[name]
+
+
 @pytest.mark.parametrize("theorem,readers", [
-    ("thm2", (thm2_bound, equality_case_kernel)),
-    ("cor31", (equality_case_kernel, cor31_bound, thm4_bound)),
+    ("thm2", ("thm2", "equality")),
+    ("cor31", ("equality", "cor31", "thm4")),
+    ("cor31", ("cor31", "equality", "thm4")),
 ])
 @pytest.mark.parametrize("f_name", sorted(F_GRIDS))
-def test_each_kernel_value_is_evaluated_once_per_scenario(theorem, readers, f_name):
+def test_each_kernel_value_is_evaluated_once_per_pass(theorem, readers, f_name):
     kernel, calls = counting(_python_kernel)
     sc = _python_scenario(theorem, "exact", kernel, f=F_GRIDS[f_name])
-    with sc.shared_kernel_values():
-        for read in readers:
-            read(sc)
-        assert sc._kernel_table
+    results = kernel_pass(sc, _starts(*readers))
+    assert len(results) == len(readers)
     assert len(calls) == len(set(calls)) == _pairs(sc)
-    assert sc._kernel_table is None
 
 
-@pytest.mark.parametrize("readers", [(thm2_bound,), (thm2_bound, equality_case_kernel)])
-def test_outside_the_block_each_kernel_sum_reads_afresh_and_keeps_nothing(readers):
+def test_each_pass_reads_afresh_and_keeps_nothing():
     kernel, calls = counting(_python_kernel)
     sc = _python_scenario("thm2", "exact", kernel)
-    for read in readers:
-        read(sc)
-        assert sc._kernel_table is None
-    assert len(calls) == len(readers) * _pairs(sc)
-
-
-def test_the_block_drops_its_table_on_exit():
-    kernel, calls = counting(_python_kernel)
-    sc = _python_scenario("thm2", "exact", kernel)
-    with pytest.raises(RuntimeError):
-        with sc.shared_kernel_values() as shared:
-            assert shared is sc
-            thm2_bound(sc)
-            equality_case_kernel(sc)
-            assert sc._kernel_table
-            raise RuntimeError
-    assert sc._kernel_table is None
-    assert len(calls) == _pairs(sc)
-    with sc.shared_kernel_values():
-        thm2_bound(sc)
+    thm2_bound(sc)
+    equality_case_kernel(sc)
     assert len(calls) == 2 * _pairs(sc)
+    for _ in range(2):
+        bound_and_equality_case("thm2", sc)
+    assert len(calls) == 4 * _pairs(sc)
+    assert set(vars(sc)) == {field.name for field in dataclasses.fields(sc)}
 
 
 def _counted_terms(sc):
@@ -384,22 +388,19 @@ def _counted_terms(sc):
 
 
 @pytest.mark.parametrize("theorem,f,p,readers", [
-    ("thm2", "1/1000", "1", (thm2_bound, equality_case_kernel)),
+    ("thm2", "1/1000", "1", ("thm2", "equality")),
     # thm4 and cor31 skip the f = 0 targets; the equality case reads them.
-    ("thm4", "max(t1 - 2, 0)/1000", "2", (thm4_bound, equality_case_kernel)),
-    ("cor31", "max(t1 - 2, 0)/1000", "1", (cor31_bound, equality_case_kernel, thm4_bound)),
+    ("thm4", "max(t1 - 2, 0)/1000", "2", ("thm4", "equality")),
+    ("cor31", "max(t1 - 2, 0)/1000", "1", ("cor31", "equality", "thm4")),
 ])
 @pytest.mark.parametrize("name", ["sep-poly", "negative-factor"])
-def test_factor_tables_are_built_once_per_scenario(theorem, f, p, readers, name):
+def test_factor_tables_are_built_once_per_pass(theorem, f, p, readers, name):
     # negative-factor keeps its None: the fallback is decided once, and
     # the direct path then reads each kernel value once too.
     sc, calls = _counted_terms(load(theorem, "exact", KERNELS[name][0], f, p, p))
     kernel, kernel_calls = counting(sc.kernel)
     sc = dataclasses.replace(sc, kernel=kernel)
-    with sc.shared_kernel_values():
-        for read in readers:
-            read(sc)
-        assert sc._factor_table is sc._factor_table
+    kernel_pass(sc, _starts(*readers))
     assert calls and len(calls) == len(set(calls))
     assert len(kernel_calls) == len(set(kernel_calls))
     assert len(kernel_calls) == (_pairs(sc) if KERNELS[name][1] == "fallback" else 0)
@@ -416,36 +417,53 @@ def _bits(values, mode):
     (theorem, mode, p, q, name)
     for theorem, p, q in (("thm2", "1", "1"), ("thm4", "2", "2"), ("cor31", "1", "1"))
     for mode in ("exact", "float")
-    for name in ("min", "max", "sqrt")
+    for name in ("min", "max", "sqrt", "sep-poly")
     if not (mode == "exact" and name == "sqrt")
 ] + [("thm4", "float", "2", "1", name) for name in ("min", "max", "sqrt")])
 @pytest.mark.parametrize("f_name", sorted(F_GRIDS))
-def test_shared_table_gives_the_values_and_flags_of_fresh_scenarios(
-    theorem, mode, p, q, name, f_name
-):
-    kernel_g = KERNELS[name][0]
-
+def test_one_pass_gives_the_values_and_flags_of_lone_readers(theorem, mode, p, q, name, f_name):
+    # sep-poly takes the separable path; the others never split.
     def fresh():
-        return load(theorem, mode, kernel_g, F_GRIDS[f_name], p, q)
+        return load(theorem, mode, KERNELS[name][0], F_GRIDS[f_name], p, q)
 
-    shared = fresh()
-    assert shared.kernel_terms is None
-    steps = [equality_case_kernel, lambda s: compute_bound(theorem, s)]
-    if theorem == "cor31":
-        steps.append(thm4_bound)
-    with shared.shared_kernel_values():
-        for order in (steps, steps[::-1]):
-            for step in order:
-                got, want = step(shared), step(fresh())
-                assert _bits(got.values, shared.mode) == _bits(want.values, shared.mode)
-                if hasattr(got, "hypotheses"):
-                    assert got.hypotheses == want.hypotheses
+    names = ["equality", theorem] + (["thm4"] if theorem == "cor31" else [])
+    for order in (names, names[::-1]):
+        for got, reader in zip(kernel_pass(fresh(), _starts(*order)), order):
+            want = _lone(reader)(fresh())
+            assert _bits(got.values, Mode(mode)) == _bits(want.values, Mode(mode))
+            if hasattr(got, "hypotheses"):
+                assert got.hypotheses == want.hypotheses
 
 
-def test_a_stored_negative_value_at_a_zero_weight_target_leaves_thm4_nonnegative():
+@pytest.mark.parametrize("theorem", ["thm4", "cor31"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_readers_of_one_pass_take_their_own_paths(theorem, mode):
+    # phi = t - 3/2 is negative only at the targets t = 1, where f = 0:
+    # the bound skips them and takes the separable path, the equality
+    # case reads them and takes the direct one.
+    def fresh():
+        sc = load(theorem, mode, "(t - 3/2)*tau*xi/100", F_GRIDS["with-zeros"], "1", "1")
+        kernel, calls = counting(sc.kernel)
+        return dataclasses.replace(sc, kernel=kernel), calls
+
+    sc, calls = fresh()
+    lone = [_lone(theorem)(sc)]
+    assert not calls
+    sc, calls = fresh()
+    lone.append(equality_case_kernel(sc))
+    assert len(calls) == _pairs(sc)
+    sc, calls = fresh()
+    joint = kernel_pass(sc, _starts(theorem, "equality"))
+    assert len(calls) == len(set(calls)) == _pairs(sc)
+    for got, want in zip(joint, lone):
+        assert _bits(got.values, sc.mode) == _bits(want.values, sc.mode)
+    assert joint[0].hypotheses == lone[0].hypotheses
+
+
+def test_a_negative_value_at_a_zero_weight_target_leaves_thm4_nonnegative():
     # The kernel is negative only at the targets t = 1, where f = 0. The
-    # equality case reads them and stores the values; thm4 skips those
-    # targets, thm2 does not.
+    # equality case reads them in the same pass; thm4 and cor31 skip
+    # those targets, thm2 does not.
     unit = {"kind": "sequence", "t0": "0", "alphas": ["1"] * 4}
     doc = {
         "theorem": "thm4", "mode": "exact", "scale1": unit, "scale2": unit,
@@ -453,15 +471,12 @@ def test_a_stored_negative_value_at_a_zero_weight_target_leaves_thm4_nonnegative
     }
     sc = config.load_scenario(doc).bound_scenario
     assert sc.kernel_terms is None
-    with sc.shared_kernel_values():
-        equality_case_kernel(sc)
-        assert thm4_bound(sc).hypotheses["kernel_nonnegative"] is True
-        assert cor31_bound(sc).hypotheses["kernel_nonnegative"] is True
-        assert thm2_bound(sc).hypotheses["kernel_nonnegative"] is False
-        assert thm4_bound(sc).hypotheses["kernel_nonnegative"] is True
+    readers = ("equality", "thm4", "cor31", "thm2", "thm4")
+    flags = [r.hypotheses["kernel_nonnegative"] for r in kernel_pass(sc, _starts(*readers))[1:]]
+    assert flags == [True, True, False, True]
 
 
-def test_a_kernel_error_mid_target_leaves_no_entry_and_repeats():
+def test_a_kernel_error_mid_target_repeats_in_every_pass():
     bad = (3, 2, 1, 0)  # target (3, 2), its third source
 
     def kernel(*args):
@@ -471,20 +486,23 @@ def test_a_kernel_error_mid_target_leaves_no_entry_and_repeats():
 
     sc = _python_scenario("thm2", "exact", kernel)
     errors = []
-    with sc.shared_kernel_values():
-        for _ in range(2):
-            with pytest.raises(KernelDomain) as caught:
-                thm2_bound(sc)
-            errors.append(str(caught.value))
-            assert (3, 2) not in sc._kernel_table
-            assert (3, 1) in sc._kernel_table
-    assert errors == ["no value at (3, 2, 1, 0)"] * 2
+    for run in (thm2_bound, thm2_bound, lambda s: bound_and_equality_case("thm2", s)):
+        with pytest.raises(KernelDomain) as caught:
+            run(sc)
+        errors.append(str(caught.value))
+    assert errors == ["no value at (3, 2, 1, 0)"] * 3
+
+
+def _missing_coefficient_scenario(kernel):
+    # Float thm4 with p = 2, q = 1 and a = 0 at the source (0, 0) only:
+    # that source has no coefficient.
+    return _python_scenario("thm4", "float", kernel, p="2", q="1", a="t1 + t2")
 
 
 def test_a_missing_coefficient_raises_before_a_later_kernel_error():
-    # Float thm4 with p = 2, q = 1 and a = 0 at the source (0, 0) only:
-    # that source has no coefficient. At the target (2, 2) the kernel is
-    # nonzero there and raises at the next source, (0, 1).
+    # At the target (2, 2) the kernel is nonzero at the source (0, 0) and
+    # raises at the next one, (0, 1). Each order raises what its first
+    # reader raises alone.
     def kernel(t1, t2, s1, s2):
         if (t1, t2) != (2.0, 2.0):
             return 0.0
@@ -492,27 +510,38 @@ def test_a_missing_coefficient_raises_before_a_later_kernel_error():
             raise KernelDomain("no value at (2, 2, 0, 1)")
         return 1.0
 
-    def scenario():
-        return _python_scenario("thm4", "float", kernel, p="2", q="1", a="t1 + t2")
-
-    for sc in (scenario(), scenario()):
-        with pytest.raises(NonPositiveA, match="negative power"):
-            thm4_bound(sc)
-        with sc.shared_kernel_values():
-            with pytest.raises(NonPositiveA, match="negative power"):
-                thm4_bound(sc)
-            assert (2, 2) not in sc._kernel_table
-    # Read back from the table, the values raise the same error.
-    sc = scenario()
-    sc = dataclasses.replace(sc, kernel=lambda t1, t2, s1, s2: 1.0)
-    with sc.shared_kernel_values():
-        thm2_bound(sc)
-        assert (2, 2) in sc._kernel_table
-        with pytest.raises(NonPositiveA, match="negative power"):
-            thm4_bound(sc)
+    expected = {"thm4": (NonPositiveA, "negative power"),
+                "equality": (KernelDomain, r"no value at \(2, 2, 0, 1\)")}
+    for order in (("thm4", "equality"), ("equality", "thm4")):
+        error, message = expected[order[0]]
+        with pytest.raises(error, match=message):
+            _lone(order[0])(_missing_coefficient_scenario(kernel))
+        with pytest.raises(error, match=message):
+            kernel_pass(_missing_coefficient_scenario(kernel), _starts(*order))
+    # Read from a buffered source row behind thm2, the values raise the
+    # same error.
+    sc = _missing_coefficient_scenario(lambda t1, t2, s1, s2: 1.0)
+    with pytest.raises(NonPositiveA, match="negative power"):
+        kernel_pass(sc, _starts("thm2", "thm4"))
 
 
-def test_the_table_is_not_part_of_the_scenario_value():
+def test_a_failed_pass_raises_what_its_readers_raise_one_after_another():
+    # thm4 has no coefficient at the source (0, 0) and raises at the first
+    # target above it; the equality case raises only at the target (3, 3).
+    # Together the pass meets thm4's error first, yet the equality case,
+    # first in order, raises its own when the readers run alone.
+    def kernel(t1, t2, s1, s2):
+        if (t1, t2, s1, s2) == (3.0, 3.0, 0.0, 0.0):
+            raise KernelDomain("no value at (3, 3, 0, 0)")
+        return 1.0
+
+    with pytest.raises(KernelDomain, match=r"no value at \(3, 3, 0, 0\)"):
+        kernel_pass(_missing_coefficient_scenario(kernel), _starts("equality", "thm4"))
+    with pytest.raises(NonPositiveA, match="negative power"):
+        kernel_pass(_missing_coefficient_scenario(kernel), _starts("thm4", "equality"))
+
+
+def test_a_scenario_holds_only_its_inputs():
     kernel, calls = counting(_python_kernel)
     sc = _python_scenario("thm2", "exact", kernel)
     twin = dataclasses.replace(sc)
@@ -521,19 +550,35 @@ def test_the_table_is_not_part_of_the_scenario_value():
     def doubled(*args):
         return 2 * _python_kernel(*args)
 
+    bound_and_equality_case("thm2", sc)
+    assert [field.name for field in dataclasses.fields(BoundScenario)] == [
+        "a", "f", "kernel", "p", "q", "kernel_terms"
+    ]
+    assert set(vars(sc)) == set(vars(twin))
+    assert sc == twin and hash(sc) == hash(twin) and repr(sc) == before == repr(twin)
     other, other_calls = counting(doubled)
-    with sc.shared_kernel_values():
-        thm2_bound(sc)
-        assert sc._kernel_table and twin._kernel_table is None
-        assert sc == twin and hash(sc) == hash(twin) and repr(sc) == before == repr(twin)
-        swapped = dataclasses.replace(sc, kernel=other)
-        assert swapped._kernel_table is None
-        with swapped.shared_kernel_values():
-            assert not swapped._kernel_table
-            swapped_values = thm2_bound(swapped).values
-    assert "_kernel_table" not in before
+    swapped = dataclasses.replace(sc, kernel=other)
     fresh = _python_scenario("thm2", "exact", doubled)
-    assert swapped_values == thm2_bound(fresh).values
+    assert thm2_bound(swapped).values == thm2_bound(fresh).values
     assert len(other_calls) == _pairs(sc)
     with pytest.raises(TypeError):
         BoundScenario(a=sc.a, f=sc.f, _kernel_table={})
+
+
+def test_a_pass_keeps_no_kernel_value_past_its_source_row():
+    doc = {
+        "theorem": "thm2", "mode": "float",
+        "scale1": {"kind": "integers", "a": "0", "b": "19"},
+        "scale2": {"kind": "integers", "a": "0", "b": "19"},
+        "a": "1", "f": "1/1000", "kernel_g": "sqrt(t + s + tau + xi + 1)",
+    }
+    sc = config.load_scenario(doc).bound_scenario
+    assert sc.kernel_terms is None
+    tracemalloc.start()
+    try:
+        bound_and_equality_case("thm2", sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 36 100 pairs: a kept value each would take over 1 MB.
+    assert peak < 500_000
